@@ -106,6 +106,8 @@ let run ?(mode = `Charged) ?(profile = Separator.practical_profile) ?(seed = 0) 
   let internal = ref [] and leaves = ref [] in
   let max_level = ref 0 in
   let queue = Queue.create () in
+  (* one charge-basis tree for every separator; flooded only if needed *)
+  let tree = lazy (Primitives.charge_tree gs) in
   Queue.add (Array.make n true, 0) queue;
   while not (Queue.is_empty queue) do
     let mask, level = Queue.pop queue in
@@ -115,7 +117,8 @@ let run ?(mode = `Charged) ?(profile = Separator.practical_profile) ?(seed = 0) 
     else begin
       let cost = Primitives.cost_zero () in
       let sep, _t =
-        Separator.find_separator ~profile ~seed:(seed + level) gs ~mask ~x_mask:mask ~cost
+        Separator.find_separator ~profile ~seed:(seed + level) ~tree:(Lazy.force tree) gs ~mask
+          ~x_mask:mask ~cost
       in
       Metrics.add metrics ~label:"matching/sep" (Primitives.cost_rounds cost);
       internal := { mask; sep; level } :: !internal;

@@ -84,6 +84,14 @@ let in_edges g v = if g.directed then g.in_adj.(v) else g.out_adj.(v)
 let dst_of g e v =
   if g.directed then e.dst else if e.src = v then e.dst else e.src
 
+let iter_adjacent g v f =
+  let visit ei =
+    let e = g.edges.(ei) in
+    f (if e.src = v then e.dst else e.src)
+  in
+  Array.iter visit g.out_adj.(v);
+  if g.directed then Array.iter visit g.in_adj.(v)
+
 let neighbors g v =
   let seen = Hashtbl.create 8 in
   let add u = if u <> v && not (Hashtbl.mem seen u) then Hashtbl.add seen u () in

@@ -55,6 +55,12 @@ val dst_of : t -> edge -> int -> int
     excluding [v] itself). *)
 val neighbors : t -> int -> int array
 
+(** [iter_adjacent g v f] calls [f] on the other endpoint of every edge
+    incident to [v], in both orientations: a neighbor is repeated once
+    per parallel edge and a self-loop yields [v]. Allocation-free
+    counterpart of {!neighbors} for traversals that tolerate repeats. *)
+val iter_adjacent : t -> int -> (int -> unit) -> unit
+
 (** [skeleton g] is [[G]]: the simple undirected unweighted graph obtained
     by dropping orientation, multiplicity, self-loops and weights. This is
     the communication network of the CONGEST model (Section 2.1). *)

@@ -72,10 +72,15 @@ let steiner_marks tree (parts : Part.t) =
   Array.iteri (fun p a -> Hashtbl.remove marked (a, p)) apex;
   (marked, marked_children, apex)
 
-let loads_of marked n =
-  let per_vertex = Array.make n 0 in
-  Hashtbl.iter (fun (v, _) () -> per_vertex.(v) <- per_vertex.(v) + 1) marked;
-  Array.fold_left max 0 per_vertex
+(* per-vertex tallies live in tables sized by the parts, not by n *)
+let bump tbl v =
+  let c = 1 + Option.value ~default:0 (Hashtbl.find_opt tbl v) in
+  Hashtbl.replace tbl v c;
+  c
+
+let loads_of marked =
+  let per_vertex = Hashtbl.create 64 in
+  Hashtbl.fold (fun (v, _) () best -> max best (bump per_vertex v)) marked 0
 
 (* Lemma 7 (near-disjoint collections): a vertex shared between parts
    hands its contribution to a private neighbor of each part in one
@@ -85,10 +90,14 @@ let loads_of marked n =
    delegation happened. *)
 let delegate_shared (parts : Part.t) =
   let g = parts.Part.graph in
-  let skeleton = if Digraph.directed g then Digraph.skeleton g else g in
-  let belongs = Part.parts_of parts in
-  let shared v = List.length belongs.(v) > 1 in
-  if not (Array.exists shared (Array.init (Digraph.n g) Fun.id)) then (parts, [||], false)
+  let occurrences = Hashtbl.create 64 in
+  let any_shared =
+    Array.fold_left
+      (Array.fold_left (fun acc v -> bump occurrences v > 1 || acc))
+      false parts.Part.members
+  in
+  let shared v = Hashtbl.find occurrences v > 1 in
+  if not any_shared then (parts, [||], false)
   else begin
     let delegations = Array.map (fun _ -> []) parts.Part.members in
     let reduced =
@@ -101,13 +110,13 @@ let delegate_shared (parts : Part.t) =
             (fun v ->
               if not (shared v) then kept := v :: !kept
               else begin
-                let receiver =
-                  Array.to_list (Digraph.neighbors skeleton v)
-                  |> List.find_opt (fun u -> Hashtbl.mem private_set u)
-                in
-                match receiver with
-                | Some u -> delegations.(p) <- (v, u) :: delegations.(p)
-                | None -> kept := v :: !kept (* no private neighbor: keep *)
+                (* the smallest-id private neighbor receives *)
+                let receiver = ref (-1) in
+                Digraph.iter_adjacent g v (fun u ->
+                    if Hashtbl.mem private_set u && (!receiver < 0 || u < !receiver) then
+                      receiver := u);
+                if !receiver >= 0 then delegations.(p) <- (v, !receiver) :: delegations.(p)
+                else kept := v :: !kept (* no private neighbor: keep *)
               end)
             members;
           Array.of_list (List.rev !kept))
@@ -130,34 +139,30 @@ let delegate_shared (parts : Part.t) =
    connected inside the skeleton (then only the Steiner route applies). *)
 let intra_part_depth (parts : Part.t) =
   let g = parts.Part.graph in
-  let skeleton = if Digraph.directed g then Digraph.skeleton g else g in
-  let n = Digraph.n skeleton in
-  let dist = Array.make n (-1) in
   let worst = ref 0 in
   let ok = ref true in
   Array.iter
     (fun members ->
       if !ok && Array.length members > 0 then begin
-        let inside = Hashtbl.create (Array.length members) in
-        Array.iter (fun v -> Hashtbl.replace inside v ()) members;
+        (* hop distance from the first member; -1 = member not reached *)
+        let dist = Hashtbl.create (Array.length members) in
+        Array.iter (fun v -> Hashtbl.replace dist v (-1)) members;
         let queue = Queue.create () in
-        dist.(members.(0)) <- 0;
+        Hashtbl.replace dist members.(0) 0;
         Queue.add members.(0) queue;
         let seen = ref 1 in
         let local_depth = ref 0 in
         while not (Queue.is_empty queue) do
           let v = Queue.pop queue in
-          if dist.(v) > !local_depth then local_depth := dist.(v);
-          Array.iter
-            (fun u ->
-              if Hashtbl.mem inside u && dist.(u) < 0 then begin
-                dist.(u) <- dist.(v) + 1;
+          let dv = Hashtbl.find dist v in
+          if dv > !local_depth then local_depth := dv;
+          Digraph.iter_adjacent g v (fun u ->
+              if Hashtbl.find_opt dist u = Some (-1) then begin
+                Hashtbl.replace dist u (dv + 1);
                 incr seen;
                 Queue.add u queue
               end)
-            (Digraph.neighbors skeleton v)
         done;
-        Array.iter (fun v -> dist.(v) <- -1) members;
         if !seen < Array.length members then ok := false
         else if !local_depth > !worst then worst := !local_depth
       end)
@@ -167,7 +172,7 @@ let intra_part_depth (parts : Part.t) =
 let loads tree parts =
   let parts, _, _ = delegate_shared parts in
   let marked, _, _ = steiner_marks tree parts in
-  let steiner_load = loads_of marked (Array.length tree.Bfs_tree.parent) in
+  let steiner_load = loads_of marked in
   let steiner = (tree.Bfs_tree.depth, steiner_load) in
   let depth, max_load =
     match intra_part_depth parts with
@@ -205,7 +210,7 @@ let aggregate ?tree (parts : Part.t) ~op ~value ~metrics ~label =
   let n = Array.length tree.Bfs_tree.parent in
   let num_parts = Part.count parts in
   let marked, marked_children, apex = steiner_marks tree parts in
-  let max_load = loads_of marked n in
+  let max_load = loads_of marked in
   let children_of v p =
     match Hashtbl.find_opt marked_children (v, p) with Some l -> !l | None -> []
   in

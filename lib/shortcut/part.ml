@@ -1,21 +1,29 @@
 module Digraph = Repro_graph.Digraph
-module Traversal = Repro_graph.Traversal
 
 type t = { graph : Digraph.t; members : int array array }
 
+(* BFS from the first member through members only: the work is
+   proportional to the part and its incident edges, not to n *)
 let connected_within g vs =
   match Array.length vs with
   | 0 -> false
   | 1 -> true
   | len ->
-      let mask = Array.make (Digraph.n g) false in
-      Array.iter (fun v -> mask.(v) <- true) vs;
-      let labels, _ = Traversal.components_mask g mask in
-      let c0 = labels.(vs.(0)) in
-      let ok = ref true in
-      Array.iter (fun v -> if labels.(v) <> c0 then ok := false) vs;
-      ignore len;
-      !ok
+      let reached = Hashtbl.create len in
+      Array.iter (fun v -> Hashtbl.replace reached v false) vs;
+      let queue = Queue.create () in
+      Hashtbl.replace reached vs.(0) true;
+      Queue.add vs.(0) queue;
+      let count = ref 1 in
+      while not (Queue.is_empty queue) do
+        Digraph.iter_adjacent g (Queue.pop queue) (fun u ->
+            if Hashtbl.find_opt reached u = Some false then begin
+              Hashtbl.replace reached u true;
+              incr count;
+              Queue.add u queue
+            end)
+      done;
+      !count = Hashtbl.length reached
 
 let make g members =
   Array.iteri

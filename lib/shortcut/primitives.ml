@@ -9,11 +9,14 @@ let ceil_log2 x =
   let rec go acc v = if v >= x then acc else go (acc + 1) (2 * v) in
   if x <= 1 then 1 else go 0 1
 
+let skeleton_of g = if Digraph.directed g then Digraph.skeleton g else g
+
+let charge_tree g = Bfs_tree.build (skeleton_of g) ~root:0 ~metrics:(Metrics.create ())
+
 let basis ?tree (parts : Part.t) ~metrics =
   let g = parts.Part.graph in
-  let skeleton = if Digraph.directed g then Digraph.skeleton g else g in
   let tree =
-    match tree with Some t -> t | None -> Bfs_tree.build skeleton ~root:0 ~metrics
+    match tree with Some t -> t | None -> Bfs_tree.build (skeleton_of g) ~root:0 ~metrics
   in
   let stats = Pa.loads tree parts in
   { depth = stats.Pa.depth; max_load = stats.Pa.max_load; n = Digraph.n g }

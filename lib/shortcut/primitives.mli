@@ -10,12 +10,22 @@
 (** Measured charge basis: BFS-tree depth and per-edge part congestion. *)
 type basis = { depth : int; max_load : int; n : int }
 
-(** [basis ?tree parts] measures the charge basis of a collection. *)
+(** [basis ?tree parts ~metrics] measures the charge basis of a
+    collection on [tree], a root-0 BFS tree of the skeleton. Without
+    [tree] it first floods one with {!Repro_congest.Bfs_tree.build},
+    charged to [metrics] — a full message-level run per call, so callers
+    inside loops must build the tree once ({!charge_tree}) and pass it. *)
 val basis :
   ?tree:Repro_congest.Bfs_tree.tree ->
   Part.t ->
   metrics:Repro_congest.Metrics.t ->
   basis
+
+(** [charge_tree g] floods the root-0 BFS tree of [g]'s skeleton on
+    throwaway metrics. Tree-restricted shortcuts are defined relative to
+    one fixed spanning tree, so a decomposition or matching run measures
+    every basis on the one tree this returns. *)
+val charge_tree : Repro_graph.Digraph.t -> Repro_congest.Bfs_tree.tree
 
 val ceil_log2 : int -> int
 

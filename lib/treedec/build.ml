@@ -20,6 +20,8 @@ let decompose ?(profile = Separator.practical_profile) ?(seed = 0) g ~metrics =
   if n = 0 then invalid_arg "Build.decompose: empty graph";
   if not (Traversal.is_connected skeleton) then
     invalid_arg "Build.decompose: graph must be connected";
+  (* every charge basis of the run is measured on this one tree *)
+  let tree = Primitives.charge_tree skeleton in
   let bags = ref [] in
   let max_t = ref 0 in
   let levels = ref 0 in
@@ -43,7 +45,7 @@ let decompose ?(profile = Separator.practical_profile) ?(seed = 0) g ~metrics =
             let s, t_used =
               Separator.find_separator ~profile
                 ~seed:(seed + (17 * List.length node.key) + List.fold_left ( + ) 0 node.key)
-                skeleton ~mask:gprime ~x_mask:gprime ~cost
+                ~tree skeleton ~mask:gprime ~x_mask:gprime ~cost
             in
             level_costs := cost :: !level_costs;
             if t_used > !max_t then max_t := t_used;
@@ -61,29 +63,28 @@ let decompose ?(profile = Separator.practical_profile) ?(seed = 0) g ~metrics =
           let residual = Array.copy node.mask in
           List.iter (fun v -> residual.(v) <- false) bag;
           let labels, count = Traversal.components_mask skeleton residual in
-          let comp_masks = Array.init count (fun _ -> Array.make n false) in
-          Array.iteri (fun v l -> if l >= 0 then comp_masks.(l).(v) <- true) labels;
+          let comp_vertices = Array.make count [] in
+          for v = n - 1 downto 0 do
+            let l = labels.(v) in
+            if l >= 0 then comp_vertices.(l) <- v :: comp_vertices.(l)
+          done;
           let in_bag = Array.make n false in
           List.iter (fun v -> in_bag.(v) <- true) bag;
           let idx = ref 0 in
           Array.iter
             (fun comp ->
-              (* bag vertices adjacent to the component, within G_x *)
-              let child_mask = Array.copy comp in
+              (* bag vertices adjacent to the component, within G_x: only
+                 the component's incident edges can reach them *)
+              let child_mask = Array.make n false in
+              List.iter (fun v -> child_mask.(v) <- true) comp;
               let inherited = ref [] in
-              Array.iter
-                (fun e ->
-                  let u = e.Digraph.src and v = e.Digraph.dst in
-                  let touch b c =
-                    if in_bag.(b) && node.mask.(b) && comp.(c) && not child_mask.(b)
-                    then begin
-                      child_mask.(b) <- true;
-                      inherited := b :: !inherited
-                    end
-                  in
-                  touch u v;
-                  touch v u)
-                (Digraph.edges skeleton);
+              let touch b =
+                if in_bag.(b) && node.mask.(b) && not child_mask.(b) then begin
+                  child_mask.(b) <- true;
+                  inherited := b :: !inherited
+                end
+              in
+              List.iter (fun v -> Digraph.iter_adjacent skeleton v touch) comp;
               let child_size = mask_size child_mask in
               if child_size >= size then
                 (* no shrink: close off as a leaf to guarantee termination *)
@@ -94,10 +95,10 @@ let decompose ?(profile = Separator.practical_profile) ?(seed = 0) g ~metrics =
                     inherited = List.sort_uniq compare !inherited }
                   :: !next;
               incr idx)
-            comp_masks;
+            comp_vertices;
           let ccd_parts = Repro_shortcut.Part.of_labels skeleton labels in
           if count > 0 then begin
-            let b = Primitives.basis ccd_parts ~metrics:(Metrics.create ()) in
+            let b = Primitives.basis ~tree ccd_parts ~metrics:(Metrics.create ()) in
             Metrics.add metrics ~label:"treedec/ccd" (Primitives.lemma8_rounds b)
           end
         end)

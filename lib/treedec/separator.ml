@@ -130,13 +130,16 @@ let centralized_base_separator g ~mask ~x_mask ~profile =
         else Heuristic.of_order sub (Heuristic.min_degree_order sub)
       in
       let total = weight_of_mask g ~mask ~x_mask in
+      (* score each bag on [sub]: the heaviest component's weight does not
+         depend on the vertex numbering *)
+      let in_x = Array.map (fun v -> x_mask.(v)) old_of_new in
       let evaluate bag =
-        let mask' = Array.copy mask in
-        Array.iter (fun v -> mask'.(old_of_new.(v)) <- false) bag;
-        let labels, count = Traversal.components_mask g mask' in
+        let rest = Array.make (Array.length old_of_new) true in
+        Array.iter (fun v -> rest.(v) <- false) bag;
+        let labels, count = Traversal.components_mask sub rest in
         let weights = Array.make (max 1 count) 0 in
         Array.iteri
-          (fun v l -> if l >= 0 then weights.(l) <- weights.(l) + mu_of ~mask:mask' ~x_mask v)
+          (fun v l -> if l >= 0 && in_x.(v) then weights.(l) <- weights.(l) + 1)
           labels;
         Array.fold_left max 0 weights
       in
@@ -154,9 +157,10 @@ let centralized_base_separator g ~mask ~x_mask ~profile =
           List.map (fun v -> old_of_new.(v)) (Array.to_list bag)
       | _ -> List.filter (fun v -> x_mask.(v)) vs)
 
-let sep ?(profile = practical_profile) ~rng g ~mask ~x_mask ~t ~cost =
+let sep ?(profile = practical_profile) ?tree ~rng g ~mask ~x_mask ~t ~cost =
+  let tree = match tree with Some tr -> tr | None -> Primitives.charge_tree g in
   let dummy_metrics = Metrics.create () in
-  let basis_of parts = Primitives.basis parts ~metrics:dummy_metrics in
+  let basis_of parts = Primitives.basis ~tree parts ~metrics:dummy_metrics in
   let mu_total = weight_of_mask g ~mask ~x_mask in
   let all = masked_vertices mask in
   if all = [] then Some []
@@ -255,13 +259,14 @@ let sep ?(profile = practical_profile) ~rng g ~mask ~x_mask ~t ~cost =
         if is_balanced g ~mask ~x_mask ~profile z then Some z else None
   end
 
-let find_separator ?(profile = practical_profile) ?(seed = 0) g ~mask ~x_mask ~cost =
+let find_separator ?(profile = practical_profile) ?(seed = 0) ?tree g ~mask ~x_mask ~cost =
+  let tree = match tree with Some tr -> tr | None -> Primitives.charge_tree g in
   let rng = Random.State.make [| seed; Digraph.n g; 0x5e9 |] in
   let rec try_t t =
     let rec attempts k =
       if k = 0 then None
       else
-        match sep ~profile ~rng g ~mask ~x_mask ~t ~cost with
+        match sep ~profile ~tree ~rng g ~mask ~x_mask ~t ~cost with
         | Some s -> Some s
         | None -> attempts (k - 1)
     in
@@ -281,7 +286,7 @@ let find_separator ?(profile = practical_profile) ?(seed = 0) g ~mask ~x_mask ~c
     && 4 * List.length s > size
   then begin
     let b =
-      Primitives.basis (Part.make g [| Array.of_list members |])
+      Primitives.basis ~tree (Part.make g [| Array.of_list members |])
         ~metrics:(Metrics.create ())
     in
     Primitives.cost_bct cost b ~h:(Repro_graph.Mask.edge_count g mask);

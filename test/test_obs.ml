@@ -507,6 +507,25 @@ let test_congestion_csv_and_chrome_export () =
       close_in ic;
       check_string "chrome json array" "[" first)
 
+(* ------------------------------------------------------------------ *)
+(* Trace volume of the global-view recursion *)
+
+(* Every charge basis of a decomposition is measured on one BFS tree, so
+   the only message-level run a trace of Build.decompose holds is that
+   tree's flood — not one uncharged flood per basis measurement. *)
+let test_decompose_traces_one_flood () =
+  let g =
+    Generators.bidirect ~seed:1 ~max_weight:9
+      (Generators.partial_k_tree ~seed:128 128 3 ~keep:0.6)
+  in
+  let _, events =
+    with_recorder (fun () -> Repro_treedec.Build.decompose g ~metrics:(Metrics.create ()))
+  in
+  let labels =
+    List.filter_map (function Event.Run_start { label; _ } -> Some label | _ -> None) events
+  in
+  Alcotest.(check (list string)) "one bfs-tree run" [ "bfs-tree" ] labels
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "repro_obs"
@@ -545,4 +564,6 @@ let () =
           Alcotest.test_case "flood on a path" `Quick test_critical_path_flood_on_path;
           Alcotest.test_case "csv + chrome export" `Quick test_congestion_csv_and_chrome_export;
         ] );
+      ( "trace volume",
+        [ Alcotest.test_case "decompose floods once" `Quick test_decompose_traces_one_flood ] );
     ]

@@ -7,6 +7,7 @@ module Part = Repro_shortcut.Part
 module Pa = Repro_shortcut.Pa
 module Mvc = Repro_shortcut.Mvc
 module Primitives = Repro_shortcut.Primitives
+module Separator = Repro_treedec.Separator
 
 (* audit every CONGEST engine run in this suite: accounting drift raises *)
 let () = Repro_congest.Engine.audit_enabled := true
@@ -202,6 +203,239 @@ let test_components_charges () =
 
 
 (* ------------------------------------------------------------------ *)
+(* Part-sized bookkeeping = the n-sized originals *)
+
+(* The n-sized implementations of Part.make's connectivity check and of
+   Pa.loads (delegation, Steiner marks, per-vertex loads, intra-part
+   depth), kept as oracles for the part-local rewrites. Only what loads
+   reads is kept: the delegation map and the marked-children table are
+   dropped. *)
+module Oracle = struct
+  let connected_within g vs =
+    match Array.length vs with
+    | 0 -> false
+    | 1 -> true
+    | _ ->
+        let mask = Array.make (Digraph.n g) false in
+        Array.iter (fun v -> mask.(v) <- true) vs;
+        let labels, _ = Traversal.components_mask g mask in
+        let c0 = labels.(vs.(0)) in
+        Array.for_all (fun v -> labels.(v) = c0) vs
+
+  let make_ok g members =
+    Array.for_all
+      (fun vs ->
+        Array.for_all (fun v -> v >= 0 && v < Digraph.n g) vs && connected_within g vs)
+      members
+
+  let steiner_marks tree (parts : Part.t) =
+    let root = tree.Bfs_tree.root in
+    let marked = Hashtbl.create 256 in
+    let member = Hashtbl.create 256 in
+    Array.iteri
+      (fun p members ->
+        Array.iter
+          (fun u ->
+            Hashtbl.replace member (u, p) ();
+            let v = ref u in
+            let continue = ref true in
+            while !continue && !v <> root do
+              if Hashtbl.mem marked (!v, p) then continue := false
+              else begin
+                Hashtbl.add marked (!v, p) ();
+                v := tree.Bfs_tree.parent.(!v)
+              end
+            done)
+          members)
+      parts.Part.members;
+    let marked_children = Hashtbl.create 256 in
+    Hashtbl.iter
+      (fun (v, p) () ->
+        let parent = tree.Bfs_tree.parent.(v) in
+        if parent >= 0 && v <> root then
+          match Hashtbl.find_opt marked_children (parent, p) with
+          | Some l -> l := v :: !l
+          | None -> Hashtbl.add marked_children (parent, p) (ref [ v ]))
+      marked;
+    let children_of v p =
+      match Hashtbl.find_opt marked_children (v, p) with Some l -> !l | None -> []
+    in
+    let apex = Array.make (Part.count parts) root in
+    Array.iteri
+      (fun p members ->
+        if Array.length members = 1 && members.(0) = root then apex.(p) <- root
+        else begin
+          let rec descend v =
+            match children_of v p with
+            | [ c ] when not (Hashtbl.mem member (v, p)) ->
+                if v <> root then begin
+                  Hashtbl.remove marked (v, p);
+                  Hashtbl.remove marked_children (v, p)
+                end;
+                descend c
+            | _ -> apex.(p) <- v
+          in
+          match children_of root p with
+          | [ c ] when not (Hashtbl.mem member (root, p)) -> descend c
+          | [] -> apex.(p) <- (if Array.length members > 0 then members.(0) else root)
+          | _ -> apex.(p) <- root
+        end)
+      parts.Part.members;
+    Array.iteri (fun p a -> Hashtbl.remove marked (a, p)) apex;
+    marked
+
+  let loads_of marked n =
+    let per_vertex = Array.make n 0 in
+    Hashtbl.iter (fun (v, _) () -> per_vertex.(v) <- per_vertex.(v) + 1) marked;
+    Array.fold_left max 0 per_vertex
+
+  let delegate_shared (parts : Part.t) =
+    let g = parts.Part.graph in
+    let skeleton = if Digraph.directed g then Digraph.skeleton g else g in
+    let belongs = Part.parts_of parts in
+    let shared v = List.length belongs.(v) > 1 in
+    if not (Array.exists shared (Array.init (Digraph.n g) Fun.id)) then parts
+    else begin
+      let reduced =
+        Array.map
+          (fun members ->
+            let private_set = Hashtbl.create 16 in
+            Array.iter
+              (fun v -> if not (shared v) then Hashtbl.replace private_set v ())
+              members;
+            let kept = ref [] in
+            Array.iter
+              (fun v ->
+                if not (shared v) then kept := v :: !kept
+                else if
+                  not
+                    (Array.exists
+                       (fun u -> Hashtbl.mem private_set u)
+                       (Digraph.neighbors skeleton v))
+                then kept := v :: !kept)
+              members;
+            Array.of_list (List.rev !kept))
+          parts.Part.members
+      in
+      let reduced =
+        Array.mapi
+          (fun p m -> if Array.length m = 0 then parts.Part.members.(p) else m)
+          reduced
+      in
+      { parts with Part.members = reduced }
+    end
+
+  let intra_part_depth (parts : Part.t) =
+    let g = parts.Part.graph in
+    let skeleton = if Digraph.directed g then Digraph.skeleton g else g in
+    let dist = Array.make (Digraph.n skeleton) (-1) in
+    let worst = ref 0 in
+    let ok = ref true in
+    Array.iter
+      (fun members ->
+        if !ok && Array.length members > 0 then begin
+          let inside = Hashtbl.create (Array.length members) in
+          Array.iter (fun v -> Hashtbl.replace inside v ()) members;
+          let queue = Queue.create () in
+          dist.(members.(0)) <- 0;
+          Queue.add members.(0) queue;
+          let seen = ref 1 in
+          let local_depth = ref 0 in
+          while not (Queue.is_empty queue) do
+            let v = Queue.pop queue in
+            if dist.(v) > !local_depth then local_depth := dist.(v);
+            Array.iter
+              (fun u ->
+                if Hashtbl.mem inside u && dist.(u) < 0 then begin
+                  dist.(u) <- dist.(v) + 1;
+                  incr seen;
+                  Queue.add u queue
+                end)
+              (Digraph.neighbors skeleton v)
+          done;
+          Array.iter (fun v -> dist.(v) <- -1) members;
+          if !seen < Array.length members then ok := false
+          else if !local_depth > !worst then worst := !local_depth
+        end)
+      parts.Part.members;
+    if !ok then Some !worst else None
+
+  let loads tree parts =
+    let parts = delegate_shared parts in
+    let steiner_load = loads_of (steiner_marks tree parts) (Array.length tree.Bfs_tree.parent) in
+    let steiner = (tree.Bfs_tree.depth, steiner_load) in
+    let depth, max_load =
+      match intra_part_depth parts with
+      | Some d when d + 1 < fst steiner + snd steiner -> (d, 1)
+      | _ -> steiner
+    in
+    { Pa.depth; max_load; rounds_up = 0; rounds_down = 0 }
+end
+
+(* A random graph (directed half the time) with a random collection:
+   BFS balls that may overlap (shared vertices, near-disjoint when they
+   only touch), arbitrary vertex samples (usually disconnected, repeats
+   allowed) and the occasional empty part. *)
+let random_collection (seed, n) =
+  let rng = Random.State.make [| seed; n; 0xc011 |] in
+  let g = Generators.gnp_connected ~seed n (2.5 /. float n) in
+  let g = if seed mod 2 = 0 then Generators.bidirect ~seed ~max_weight:5 g else g in
+  let ball () =
+    let size = 1 + Random.State.int rng (max 1 (n / 3)) in
+    let seen = Hashtbl.create size and out = ref [] in
+    let queue = Queue.create () in
+    let grab v =
+      if (not (Hashtbl.mem seen v)) && Hashtbl.length seen < size then begin
+        Hashtbl.add seen v ();
+        out := v :: !out;
+        Queue.add v queue
+      end
+    in
+    grab (Random.State.int rng n);
+    while not (Queue.is_empty queue) do
+      Array.iter grab (Digraph.neighbors g (Queue.pop queue))
+    done;
+    Array.of_list (List.rev !out)
+  in
+  let sample () = Array.init (1 + Random.State.int rng 4) (fun _ -> Random.State.int rng n) in
+  let part () =
+    match Random.State.int rng 10 with 0 -> [||] | 1 | 2 -> sample () | _ -> ball ()
+  in
+  (g, Array.init (1 + Random.State.int rng 6) (fun _ -> part ()))
+
+let collection_gen = QCheck.(pair (int_range 0 10_000) (int_range 2 40))
+
+let prop_part_make_matches_oracle =
+  QCheck.Test.make ~name:"Part.make connectivity = n-sized oracle" ~count:300 collection_gen
+    (fun input ->
+      let g, members = random_collection input in
+      let accepted =
+        match Part.make g members with _ -> true | exception Invalid_argument _ -> false
+      in
+      accepted = Oracle.make_ok g members)
+
+let prop_pa_loads_matches_oracle =
+  QCheck.Test.make ~name:"Pa.loads = n-sized oracle" ~count:300 collection_gen (fun input ->
+      let g, members = random_collection input in
+      let parts = Part.make_unchecked g members in
+      let skeleton = if Digraph.directed g then Digraph.skeleton g else g in
+      let tree = Bfs_tree.build skeleton ~root:0 ~metrics:(Metrics.create ()) in
+      Pa.loads tree parts = Oracle.loads tree parts)
+
+let prop_find_separator_tree_invariant =
+  QCheck.Test.make ~name:"find_separator ~tree = find_separator" ~count:20
+    QCheck.(pair (int_range 0 1000) (int_range 30 120))
+    (fun (seed, n) ->
+      let g = Generators.partial_k_tree ~seed n 3 ~keep:0.5 in
+      let run ?tree () =
+        let cost = Primitives.cost_zero () in
+        let mask = full_mask g in
+        let result = Separator.find_separator ?tree ~seed g ~mask ~x_mask:mask ~cost in
+        (result, cost)
+      in
+      run () = run ~tree:(Primitives.charge_tree g) ())
+
+(* ------------------------------------------------------------------ *)
 (* MST *)
 
 module Mst = Repro_shortcut.Mst
@@ -246,7 +480,14 @@ let prop_mst_matches_kruskal =
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_pa_matches_direct_fold; prop_mvc_cut_separates_and_is_minimal; prop_mst_matches_kruskal ]
+      [
+        prop_pa_matches_direct_fold;
+        prop_mvc_cut_separates_and_is_minimal;
+        prop_mst_matches_kruskal;
+        prop_part_make_matches_oracle;
+        prop_pa_loads_matches_oracle;
+        prop_find_separator_tree_invariant;
+      ]
   in
   Alcotest.run "repro_shortcut"
     [

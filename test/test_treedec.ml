@@ -319,6 +319,66 @@ let prop_exact_brackets_heuristics =
       let tw = Exact.treewidth g in
       Heuristic.degeneracy g <= tw && tw <= Decomposition.width (Heuristic.min_fill g))
 
+(* ------------------------------------------------------------------ *)
+(* Golden outputs: bags, levels, max_t and metrics JSON are pinned
+   byte-for-byte, so a speedup of the global-view recursion cannot move
+   a single bag or charged round. The digest hashes a text rendering of
+   the key-sorted (key, bag) list, bags in their stored order. *)
+
+module Matching = Repro_core.Matching
+
+let decomposition_digest dec =
+  let buf = Buffer.create 4096 in
+  let ints sep l = String.concat sep (List.map string_of_int l) in
+  Decomposition.keys dec
+  |> List.map (fun k -> (k, Decomposition.bag dec k))
+  |> List.sort compare
+  |> List.iter (fun (k, bag) ->
+         Printf.bprintf buf "%s:%s\n" (ints "." k) (ints "," (Array.to_list bag)));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let weighted_ptk n =
+  Generators.bidirect ~seed:n ~max_weight:9 (Generators.partial_k_tree ~seed:n n 3 ~keep:0.6)
+
+let golden_cases =
+  [
+    ( "ptk n=256", (fun () -> Build.decompose ~seed:1 (weighted_ptk 256)),
+      ("72b7057afff374c0d9260ce53d405281", 4, 2,
+        {|{"rounds":1618,"messages":0,"words":0,"delivered":0,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"treedec/level":1010,"treedec/ccd":608}}|}) );
+    ( "ptk n=1024", (fun () -> Build.decompose ~seed:1 (weighted_ptk 1024)),
+      ("afc1f98a34cca3c3ad61d0cf543e92d3", 5, 2,
+        {|{"rounds":5541,"messages":0,"words":0,"delivered":0,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"treedec/ccd":2920,"treedec/level":2621}}|}) );
+    ( "wheel n=200", (fun () -> Build.decompose (Generators.wheel 200)),
+      ("5cbca0f19647a71dd8a41549f90ea096", 5, 2,
+        {|{"rounds":2030,"messages":0,"words":0,"delivered":0,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"treedec/ccd":1312,"treedec/level":718}}|}) );
+    ( "grid 8x8", (fun () -> Build.decompose (Generators.grid 8 8)),
+      ("8d3dfb90e624195e67dbd007eb1a2502", 3, 2,
+        {|{"rounds":1279,"messages":0,"words":0,"delivered":0,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"treedec/level":1075,"treedec/ccd":204}}|}) );
+    ( "paper profile ptk n=1024",
+      (fun () ->
+        Build.decompose ~profile:Separator.paper_profile ~seed:3
+          (Generators.partial_k_tree ~seed:5 1024 2 ~keep:0.5)),
+      ("b6a07490cfb81be4aaa6411ce4051440", 2, 2,
+        {|{"rounds":1340,"messages":0,"words":0,"delivered":0,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"treedec/level":1140,"treedec/ccd":200}}|}) );
+  ]
+
+let golden_decompose build (digest, levels, max_t, json) () =
+  let m = Metrics.create () in
+  let r = build () ~metrics:m in
+  Alcotest.(check string) "bag digest" digest (decomposition_digest r.Build.decomposition);
+  check_int "levels" levels r.Build.levels;
+  check_int "max_t" max_t r.Build.max_t;
+  Alcotest.(check string) "metrics json" json (Metrics.to_json m)
+
+let test_golden_matching () =
+  let g = Generators.subdivide (Generators.k_tree ~seed:7 48 2) in
+  let m = Metrics.create () in
+  let r = Matching.run ~seed:2 g ~metrics:m in
+  check_int "matching size" 48 r.Matching.size;
+  Alcotest.(check string) "metrics json"
+    {|{"rounds":59630,"messages":372,"words":372,"delivered":372,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"matching/augment":56344,"matching/sep":1599,"treedec/level":956,"treedec/ccd":624,"matching/leaf":96,"bfs-tree":11}}|}
+    (Metrics.to_json m)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -374,5 +434,11 @@ let () =
           Alcotest.test_case "witness order" `Quick test_exact_order_is_witness;
           Alcotest.test_case "size cap" `Quick test_exact_rejects_large;
         ] );
+      ( "golden",
+        List.map
+          (fun (name, build, expected) ->
+            Alcotest.test_case name `Quick (golden_decompose build expected))
+          golden_cases
+        @ [ Alcotest.test_case "matching subdivided 2-tree" `Quick test_golden_matching ] );
       ("properties", qsuite);
     ]
