@@ -2,7 +2,7 @@ module Digraph = Repro_graph.Digraph
 
 type state = { dist : int array; queue : (int * int) list; queue_back : (int * int) list }
 
-module E = Synchronizer.Make (struct
+module E = Engine.Make (struct
   type t = int * int
 
   let words _ = 2

@@ -1,11 +1,12 @@
-(** Virtual-time machinery for the asynchronous executor.
+(** Virtual-time machinery of the α-synchronizer.
 
-    The asynchronous execution substrate (DESIGN.md Section 3g) splits
-    in two: this module owns the model-independent machinery — the
-    deterministic virtual-time event queue (a thin facade over
-    [Repro_graph.Pqueue]), the wire-latency legs, and the process-wide
-    deadline-pacing dials — while {!Synchronizer} owns the per-message
-    pulse loop, parameterized by the message type.
+    {!Engine.Make.run} executes a run asynchronously when its fault
+    profile has a timing dimension or {!forced} is set (the contract is
+    documented there). This module holds the part of that execution
+    that does not depend on the message type: the process-wide
+    dials, and the per-run virtual-time state — a deterministic event
+    queue of pulse starts, per-node step ends and SAFE points, inbox
+    arrival high-water marks, and the α gate with its deadline strikes.
 
     Virtual time is dimensionless: one unit is one nominal node step
     and one nominal wire crossing. A straggler window stretches a step
@@ -15,10 +16,10 @@
     alone and a synchronous run of the same profile is byte-identical
     with or without timing dimensions. *)
 
-(** When true, {!Synchronizer} routes every run through the
-    asynchronous executor even if the fault profile has no timing
-    dimension (the [--async] CLI flag). Exactness tests rely on this
-    to compare engines on identical profiles. *)
+(** When true, {!Engine.Make.run} executes every run asynchronously
+    even if the fault profile has no timing dimension (the [--async]
+    CLI flag). Exactness tests rely on this to compare the two
+    schedules on identical profiles. *)
 val forced : bool ref
 
 (** Pulse deadline in virtual-time units, [0] = off (the default: the
@@ -43,47 +44,51 @@ val default_max_strikes : int
 (** Cap on the exponent of the deadline backoff ([2^shift]). *)
 val max_backoff_shift : int
 
-(** {2 Virtual-time event queue}
+(** {2 Per-run state}
 
-    Deterministic min-queue of [(vt, node)] events: ties in virtual
-    time break by ascending node id via a composite integer priority,
-    so pop order is a function of the pushed set — never of
-    heap-internal operation order. *)
+    One pulse is one logical round. Each round the executor calls
+    {!dispatch}, then {!commit}, then {!gate}; in between it reports
+    every transmitted copy ({!transmit}) and every delivered one
+    ({!arrived}). *)
 
-type queue
+type t
 
-(** [create ~n] is an empty queue for nodes [0 .. n-1]. *)
-val create : n:int -> queue
+(** [start faults ~neighbors ~down ~metrics ~sink] is the state of one
+    run over the network whose sorted neighbor lists are [neighbors],
+    with every node's pulse 0 queued at its clock-skew offset. [down
+    ~round v] says whether [v] is crashed or stalled at [round]; the
+    pulse counters are charged to [metrics] and the virtual-time events
+    ([Pulse], [Straggle], [Safe], [Straggler_cut]) go to [sink]. *)
+val start :
+  Fault.t option ->
+  neighbors:int array array ->
+  down:(round:int -> int -> bool) ->
+  metrics:Metrics.t ->
+  sink:Repro_obs.Sink.t ->
+  t
 
-val is_empty : queue -> bool
-val length : queue -> int
+(** [dispatch t ~round step] pops the pulse starts queued for [round]
+    in virtual-time order (ties by node id) and calls [step v] for
+    every node that is not down. *)
+val dispatch : t -> round:int -> (int -> unit) -> unit
 
-(** [push q ~vt v] schedules node [v] at virtual time [vt]. *)
-val push : queue -> vt:int -> int -> unit
+(** [transmit t ~round ~src ~dst ~copy] is the physical arrival time of
+    the [copy]-th copy of [src]'s transmission to [dst]; its
+    acknowledgement raises [src]'s SAFE point. *)
+val transmit : t -> round:int -> src:int -> dst:int -> copy:int -> int
 
-(** [pop q] removes and returns the earliest [(vt, node)] event.
-    @raise Not_found if empty. *)
-val pop : queue -> int * int
+(** [arrived t ~src ~dst vt] records a copy from [src] placed in [dst]'s
+    next inbox at physical time [vt]. *)
+val arrived : t -> src:int -> dst:int -> int -> unit
 
-(** {2 Wire legs}
+(** [is_cut t ~src ~dst]: has [dst] cut [src] as a chronic straggler? *)
+val is_cut : t -> src:int -> dst:int -> bool
 
-    Leg salts keep the latency draws of the [k]-th data copy of a
-    transmission, its acknowledgement, and the SAFE fan-out mutually
-    independent ({!Fault.latency}'s [leg] coordinate). *)
+(** [commit t ~round send] calls [send v] for the nodes that stepped this
+    pulse, in ascending node order, then charges each one's SAFE
+    fan-out. *)
+val commit : t -> round:int -> (int -> unit) -> unit
 
-val leg_data : int -> int
-
-val leg_ack : int -> int
-
-val leg_safe : int
-
-(** [wire faults ~round ~src ~dst ~leg] — virtual-time units one wire
-    crossing of the [src -> dst] link spends in flight at pulse
-    [round]: [1] plus the profile's latency draw (just [1] with no
-    adversary). *)
-val wire : Fault.t option -> round:int -> src:int -> dst:int -> leg:int -> int
-
-(** [strike_allowance ~strikes] — the lateness allowance against a
-    neighbor already holding [strikes] strikes:
-    [deadline * 2^strikes], shift capped at {!max_backoff_shift}. *)
-val strike_allowance : strikes:int -> int
+(** [gate t ~round] computes every node's next pulse start (the α gate),
+    takes deadline strikes and cuts, and queues the next pulse. *)
+val gate : t -> round:int -> unit

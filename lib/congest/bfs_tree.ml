@@ -10,7 +10,7 @@ module Word = struct
   let words _ = 1
 end
 
-module E = Synchronizer.Make (Word)
+module E = Engine.Make (Word)
 module T = Transport.Make (Word)
 module D = Detector.Make (Word)
 

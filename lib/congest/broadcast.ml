@@ -6,7 +6,7 @@ module Word = struct
   let words _ = 1
 end
 
-module E = Synchronizer.Make (Word)
+module E = Engine.Make (Word)
 module T = Transport.Make (Word)
 
 (* dispatch an execution to the raw engine or the reliable transport *)

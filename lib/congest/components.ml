@@ -2,7 +2,7 @@ module Digraph = Repro_graph.Digraph
 
 type state = { best : int; pending : bool; inside : bool }
 
-module E = Synchronizer.Make (struct
+module E = Engine.Make (struct
   type t = int
 
   let words _ = 1

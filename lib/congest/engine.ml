@@ -44,11 +44,14 @@ module Make (M : MSG) = struct
       invalid_arg "Engine.run: communication network must be undirected";
     let audit = match audit with Some b -> b | None -> !audit_enabled in
     let n = Digraph.n skeleton in
+    let neighbors = Array.init n (Digraph.neighbors skeleton) in
     let neighbor_sets =
-      Array.init n (fun v ->
+      Array.map
+        (fun nb ->
           let tbl = Hashtbl.create 8 in
-          Array.iter (fun u -> Hashtbl.replace tbl u ()) (Digraph.neighbors skeleton v);
+          Array.iter (fun u -> Hashtbl.replace tbl u ()) nb;
           tbl)
+        neighbors
     in
     let states = Array.init n init in
     (* double-buffered inboxes: both arrays live for the whole run and
@@ -67,7 +70,8 @@ module Make (M : MSG) = struct
     in
     let in_flight = ref false in
     (* copies held back by a delay fault: (deliver_round, dst, src, msg,
-       words measured at send, send_round, corrupted in flight) *)
+       words measured at send, send_round, corrupted in flight, physical
+       arrival time — 0 on the identity schedule) *)
     let delayed = ref [] in
     let sink = !trace_sink in
     let tracing = sink.Repro_obs.Sink.enabled in
@@ -75,11 +79,11 @@ module Make (M : MSG) = struct
     (match faults with Some f -> Fault.begin_run f | None -> ());
     if tracing then begin
       emit (Repro_obs.Event.Run_start { label; faulty = Option.is_some faults });
-      (* static crash/partition windows up front so replay can rebuild
-         the profile *)
+      (* static fault windows up front so replay can rebuild the profile *)
       match faults with
       | None -> ()
       | Some f ->
+          let p = Fault.profile_of f in
           List.iter
             (fun (c : Fault.crash) ->
               emit
@@ -90,7 +94,7 @@ module Make (M : MSG) = struct
                      until_round = c.until_round;
                      amnesia = c.mode = Fault.Amnesia;
                    }))
-            (Fault.profile_of f).crashes;
+            p.crashes;
           List.iter
             (fun (p : Fault.partition) ->
               let links, nodes =
@@ -101,12 +105,44 @@ module Make (M : MSG) = struct
               emit
                 (Repro_obs.Event.Partition_window
                    { links; nodes; from_round = p.from_round; heal_round = p.heal_round }))
-            (Fault.profile_of f).partitions
+            p.partitions;
+          List.iter
+            (fun (s : Fault.straggle) ->
+              emit
+                (Repro_obs.Event.Straggle_window
+                   {
+                     node = s.s_node;
+                     from_round = s.s_from;
+                     until_round = s.s_until;
+                     factor = s.factor;
+                   }))
+            p.stragglers;
+          if Fault.timing_active f then begin
+            emit
+              (Repro_obs.Event.Timing
+                 { link_latency = p.link_latency; skew = p.skew; seed = Fault.seed_of f });
+            for v = 0 to n - 1 do
+              let offset = Fault.skew_of f v in
+              if offset > 0 then emit (Repro_obs.Event.Skew { node = v; offset })
+            done
+          end
     end;
     (* last observed up/down status per node, for crash/restart
        transition events (allocated only when tracing) *)
     let prev_down = Array.make (if tracing then n else 0) false in
-    let crashed v = match faults with None -> false | Some f -> Fault.crashed f ~round:!round v in
+    (* a node inside an unbounded stall window behaves like a
+       crash-stop: it neither steps nor sends, copies addressed to it
+       are dropped, and it is excluded from the liveness check. Only a
+       profile with stragglers can stall a node. *)
+    let stalls =
+      match faults with Some f -> (Fault.profile_of f).stragglers <> [] | None -> false
+    in
+    let down_at ~round v =
+      match faults with
+      | None -> false
+      | Some f -> Fault.crashed f ~round v || (stalls && Fault.stalled_forever f ~round v)
+    in
+    let down v = down_at ~round:!round v in
     let link_down src dst =
       match faults with
       | None -> false
@@ -142,7 +178,9 @@ module Make (M : MSG) = struct
       active states.(v)
       && match faults with
          | None -> true
-         | Some f -> not (Fault.crash_stopped f ~round:!round v)
+         | Some f ->
+             (not (Fault.crash_stopped f ~round:!round v))
+             && not (stalls && Fault.stalled_forever f ~round:!round v)
     in
     (* recursive scans instead of ref-counted loops: no per-call ref
        cells, so the quiescence check itself is allocation-free *)
@@ -160,6 +198,15 @@ module Make (M : MSG) = struct
          | Some f -> Fault.amnesia_in_progress f ~round:!round
          | None -> false)
       || any_live_active 0
+    in
+    (* the schedule, picked once: identity timing, or the α-synchronizer's
+       virtual clock when the profile has a timing dimension or the
+       async executor is forced *)
+    let pulsed =
+      let timing = match faults with Some f -> Fault.timing_active f | None -> false in
+      if timing || !Async_engine.forced then
+        Some (Async_engine.start faults ~neighbors ~down:down_at ~metrics ~sink)
+      else None
     in
     (* ---- audit bookkeeping (only consulted when [audit] is true) ----
        The auditor keeps its own cumulative tallies, incremented at the
@@ -218,17 +265,19 @@ module Make (M : MSG) = struct
     let words_this_round = ref 0 in
     let delivered_this_round = ref 0 in
     let sent_to = Hashtbl.create 8 in
+    let drop ~send_round ~round ~src ~dst ~words reason =
+      Metrics.add_dropped metrics 1;
+      if audit then incr a_dropped;
+      if tracing then
+        emit (Repro_obs.Event.Drop { send_round; round; src; dst; words; reason })
+    in
     (* deliver a copy into the round-[r] inboxes, dropping it if the
-       receiver is down at delivery time. [words] is the size measured
-       when the copy was accepted; in audit mode the copy is re-measured
-       on delivery so a sender mutating a message after handing it to the
-       network is caught. *)
-    let deliver ~send_round ~deliver_round ~words ?(corrupted = false) dst src msg =
-      let receiver_down =
-        match faults with
-        | None -> false
-        | Some f -> Fault.crashed f ~round:deliver_round dst
-      in
+       receiver is down at delivery time or has cut the sender as a
+       chronic straggler. [words] is the size measured when the copy
+       was accepted; in audit mode the copy is re-measured on delivery
+       so a sender mutating a message after handing it to the network
+       is caught. [arr] is the copy's physical arrival time. *)
+    let deliver ~send_round ~deliver_round ~words ~arr ~corrupted dst src msg =
       (* a corrupted copy is garbled on delivery: the layer above maps
          it through its [corrupt] transform (and must preserve the word
          count — audit re-measures below); with no transform installed
@@ -248,29 +297,133 @@ module Make (M : MSG) = struct
                src dst words now
                (if corrupted then ", or size-changing corrupt transform" else ""))
       end;
-      if receiver_down then begin
-        Metrics.add_dropped metrics 1;
-        if audit then incr a_dropped;
-        if tracing then
-          emit
-            (Repro_obs.Event.Drop
-               { send_round; round = deliver_round; src; dst; words; reason = Receiver_down })
-      end
-      else if garbled_drop then begin
-        Metrics.add_dropped metrics 1;
-        if audit then incr a_dropped;
-        if tracing then
-          emit
-            (Repro_obs.Event.Drop
-               { send_round; round = deliver_round; src; dst; words; reason = Garbled })
-      end
+      if down_at ~round:deliver_round dst then
+        drop ~send_round ~round:deliver_round ~src ~dst ~words Receiver_down
+      else if match pulsed with Some a -> Async_engine.is_cut a ~src ~dst | None -> false
+      then
+        (* the receiver cut this sender as a chronic straggler — its
+           copies are discarded on arrival, like a dead receiver but
+           with its own drop reason so traces and replay distinguish *)
+        drop ~send_round ~round:deliver_round ~src ~dst ~words Straggler
+      else if garbled_drop then drop ~send_round ~round:deliver_round ~src ~dst ~words Garbled
       else begin
         !next_inboxes.(dst) <- (src, msg) :: !next_inboxes.(dst);
+        (match pulsed with Some a -> Async_engine.arrived a ~src ~dst arr | None -> ());
         incr delivered_this_round;
         if audit then incr a_delivered;
         if tracing then
           emit (Repro_obs.Event.Deliver { send_round; round = deliver_round; src; dst; words })
       end
+    in
+    (* the physical arrival time of the [copy]-th copy of a send, whose
+       acknowledgement raises the sender's SAFE point *)
+    let transmit v u copy =
+      match pulsed with
+      | None -> 0
+      | Some a -> Async_engine.transmit a ~round:!round ~src:v ~dst:u ~copy
+    in
+    let send v (u, msg) =
+      if not (Hashtbl.mem neighbor_sets.(v) u) then
+        invalid_arg
+          (Printf.sprintf "Engine.run(%s): round %d: node %d sent to non-neighbor %d" label
+             !round v u);
+      if Hashtbl.mem sent_to u then
+        invalid_arg
+          (Printf.sprintf
+             "Engine.run(%s): round %d: node %d sent two messages to %d in one round" label
+             !round v u);
+      Hashtbl.add sent_to u ();
+      let w = M.words msg in
+      if audit then begin
+        let w' = M.words msg in
+        if w' <> w then
+          violation
+            (Printf.sprintf "M.words unstable on message %d -> %d: measured %d then %d" v u w
+               w')
+      end;
+      if w < 1 || w > max_words then
+        invalid_arg
+          (Printf.sprintf "Engine.run(%s): round %d: node %d -> %d: message of %d words (cap %d)"
+             label !round v u w max_words);
+      incr sent_this_round;
+      words_this_round := !words_this_round + w;
+      if audit then begin
+        incr a_sent;
+        a_words := !a_words + w
+      end;
+      if tracing then emit (Repro_obs.Event.Send { round = !round; src = v; dst = u; words = w });
+      match faults with
+      | None ->
+          deliver ~send_round:!round ~deliver_round:(!round + 1) ~words:w ~arr:(transmit v u 0)
+            ~corrupted:false u v msg
+      | Some _ when link_down v u ->
+          (* deterministic partition drop, decided before [plan] so
+             severed sends consume no adversary randomness; the sender
+             sees the dead carrier at once, so a severed send never
+             stretches its SAFE point *)
+          drop ~send_round:!round ~round:!round ~src:v ~dst:u ~words:w Severed
+      | Some f -> (
+          match Fault.plan f ~round:!round ~src:v ~dst:u with
+          | [] ->
+              (* a lost copy's NACK returns on the ack's schedule *)
+              ignore (transmit v u 0);
+              drop ~send_round:!round ~round:!round ~src:v ~dst:u ~words:w Link
+          | fates ->
+              if List.length fates > 1 then begin
+                Metrics.add_duplicated metrics (List.length fates - 1);
+                if audit then a_duplicated := !a_duplicated + List.length fates - 1;
+                if tracing then
+                  emit
+                    (Repro_obs.Event.Duplicate
+                       { round = !round; src = v; dst = u; copies = List.length fates })
+              end;
+              List.iteri
+                (fun k { Fault.extra; corrupt = corrupted } ->
+                  let deliver_round = !round + 1 + extra in
+                  let arr = transmit v u k in
+                  if corrupted then begin
+                    Metrics.add_corrupted metrics 1;
+                    if tracing then
+                      emit
+                        (Repro_obs.Event.Corrupt
+                           { send_round = !round; deliver_round; src = v; dst = u })
+                  end;
+                  if extra = 0 then
+                    deliver ~send_round:!round ~deliver_round ~words:w ~arr ~corrupted u v msg
+                  else begin
+                    (* a delay is a logical-schedule fault: the copy is
+                       acked on its physical schedule but buffered until
+                       [deliver_round]'s inbox *)
+                    delayed := (deliver_round, u, v, msg, w, !round, corrupted, arr) :: !delayed;
+                    if tracing then
+                      emit
+                        (Repro_obs.Event.Delay
+                           { round = !round; src = v; dst = u; deliver_round })
+                  end)
+                fates)
+    in
+    let step_node v =
+      (* contract: inboxes are presented sorted by sender id, so
+         algorithms cannot depend on delivery-schedule accidents *)
+      let inbox = List.sort (fun (a, _) (b, _) -> Int.compare a b) !inboxes.(v) in
+      if audit then audit_inbox_sorted v inbox;
+      let st, outbox = step ~round:!round ~node:v states.(v) inbox in
+      states.(v) <- st;
+      outbox
+    in
+    let commit v outbox =
+      Hashtbl.clear sent_to;
+      List.iter (send v) outbox
+    in
+    (* async mode steps every node in virtual-time order first and
+       commits the outboxes afterwards in node order, so the adversary's
+       fate draws — and with them every delivery, drop and duplicate —
+       follow the synchronous schedule exactly *)
+    let outboxes = Array.make (if Option.is_some pulsed then n else 0) [] in
+    let step_async v = outboxes.(v) <- step_node v in
+    let commit_async v =
+      commit v outboxes.(v);
+      outboxes.(v) <- []
     in
     while continue () do
       if !round >= max_rounds then
@@ -302,124 +455,22 @@ module Make (M : MSG) = struct
       sent_this_round := 0;
       words_this_round := 0;
       delivered_this_round := 0;
-      for v = 0 to n - 1 do
-        if not (crashed v) then begin
-          (* contract: inboxes are presented sorted by sender id, so
-             algorithms cannot depend on delivery-schedule accidents *)
-          let inbox = List.sort (fun (a, _) (b, _) -> Int.compare a b) !inboxes.(v) in
-          if audit then audit_inbox_sorted v inbox;
-          let st, outbox = step ~round:!round ~node:v states.(v) inbox in
-          states.(v) <- st;
-          Hashtbl.clear sent_to;
-          List.iter
-            (fun (u, msg) ->
-              if not (Hashtbl.mem neighbor_sets.(v) u) then
-                invalid_arg
-                  (Printf.sprintf "Engine.run(%s): round %d: node %d sent to non-neighbor %d"
-                     label !round v u);
-              if Hashtbl.mem sent_to u then
-                invalid_arg
-                  (Printf.sprintf
-                     "Engine.run(%s): round %d: node %d sent two messages to %d in one round"
-                     label !round v u);
-              Hashtbl.add sent_to u ();
-              let w = M.words msg in
-              if audit then begin
-                let w' = M.words msg in
-                if w' <> w then
-                  violation
-                    (Printf.sprintf
-                       "M.words unstable on message %d -> %d: measured %d then %d" v u w w')
-              end;
-              if w < 1 || w > max_words then
-                invalid_arg
-                  (Printf.sprintf
-                     "Engine.run(%s): round %d: node %d -> %d: message of %d words (cap %d)"
-                     label !round v u w max_words);
-              incr sent_this_round;
-              words_this_round := !words_this_round + w;
-              if audit then begin
-                incr a_sent;
-                a_words := !a_words + w
-              end;
-              if tracing then
-                emit (Repro_obs.Event.Send { round = !round; src = v; dst = u; words = w });
-              match faults with
-              | None -> deliver ~send_round:!round ~deliver_round:(!round + 1) ~words:w u v msg
-              | Some _ when link_down v u ->
-                  (* deterministic partition drop, decided before [plan]
-                     so severed sends consume no adversary randomness *)
-                  Metrics.add_dropped metrics 1;
-                  if audit then incr a_dropped;
-                  if tracing then
-                    emit
-                      (Repro_obs.Event.Drop
-                         {
-                           send_round = !round;
-                           round = !round;
-                           src = v;
-                           dst = u;
-                           words = w;
-                           reason = Severed;
-                         })
-              | Some f -> (
-                  match Fault.plan f ~round:!round ~src:v ~dst:u with
-                  | [] ->
-                      Metrics.add_dropped metrics 1;
-                      if audit then incr a_dropped;
-                      if tracing then
-                        emit
-                          (Repro_obs.Event.Drop
-                             {
-                               send_round = !round;
-                               round = !round;
-                               src = v;
-                               dst = u;
-                               words = w;
-                               reason = Link;
-                             })
-                  | fates ->
-                      if List.length fates > 1 then begin
-                        Metrics.add_duplicated metrics (List.length fates - 1);
-                        if audit then a_duplicated := !a_duplicated + List.length fates - 1;
-                        if tracing then
-                          emit
-                            (Repro_obs.Event.Duplicate
-                               { round = !round; src = v; dst = u; copies = List.length fates })
-                      end;
-                      List.iter
-                        (fun { Fault.extra; corrupt = corrupted } ->
-                          let deliver_round = !round + 1 + extra in
-                          if corrupted then begin
-                            Metrics.add_corrupted metrics 1;
-                            if tracing then
-                              emit
-                                (Repro_obs.Event.Corrupt
-                                   { send_round = !round; deliver_round; src = v; dst = u })
-                          end;
-                          if extra = 0 then
-                            deliver ~send_round:!round ~deliver_round ~words:w ~corrupted u v
-                              msg
-                          else begin
-                            delayed :=
-                              (deliver_round, u, v, msg, w, !round, corrupted) :: !delayed;
-                            if tracing then
-                              emit
-                                (Repro_obs.Event.Delay
-                                   { round = !round; src = v; dst = u; deliver_round })
-                          end)
-                        fates))
-            outbox
-        end
-      done;
+      (match pulsed with
+      | None ->
+          for v = 0 to n - 1 do
+            if not (down v) then commit v (step_node v)
+          done
+      | Some a ->
+          Async_engine.dispatch a ~round:!round step_async;
+          Async_engine.commit a ~round:!round commit_async);
       (* copies whose delay matured this round join the next inboxes *)
       let matured, still_held =
-        List.partition (fun (dr, _, _, _, _, _, _) -> dr = !round + 1) !delayed
+        List.partition (fun (dr, _, _, _, _, _, _, _) -> dr = !round + 1) !delayed
       in
       delayed := still_held;
       List.iter
-        (fun (dr, dst, src, msg, w, sr, corrupted) ->
-          deliver ~send_round:sr ~deliver_round:dr ~words:w ~corrupted dst src msg)
+        (fun (dr, dst, src, msg, w, sr, corrupted, arr) ->
+          deliver ~send_round:sr ~deliver_round:dr ~words:w ~arr ~corrupted dst src msg)
         matured;
       (* swap the buffers: this round's deliveries become next round's
          inboxes, and the consumed array is wiped for reuse *)
@@ -433,6 +484,7 @@ module Make (M : MSG) = struct
       Metrics.add_delivered metrics !delivered_this_round;
       if audit then audit_round_end ();
       if tracing then emit (Repro_obs.Event.Round_end { round = !round });
+      (match pulsed with Some a -> Async_engine.gate a ~round:!round | None -> ());
       incr round;
       Metrics.add metrics ~label 1
     done;

@@ -1,4 +1,5 @@
-(** Synchronous message-passing CONGEST engine.
+(** Message-passing CONGEST engine: one executor for synchronous and
+    asynchronous runs.
 
     The communication network is the skeleton [[G]] of the input graph
     (Section 2.1 of the paper): undirected, simple, unweighted. In each
@@ -14,6 +15,45 @@
     drop, duplicate, and delay messages and take nodes down according to
     a seeded, reproducible schedule (DESIGN.md "Fault model"); layer
     {!Transport} on top to get reliable delivery back over such links.
+
+    {b Schedules.} [run] picks its schedule once, at entry. A run whose
+    fault profile has a timing dimension ({!Fault.timing_active}), or
+    any run while {!Async_engine.forced} is set, executes
+    asynchronously under Awerbuch's α-synchronizer; every other run
+    uses identity timing, where a round is simply the next step of
+    every node in node order. Both schedules share the same bandwidth
+    checks, fate handling, audit, round limit and exceptions, so
+    algorithms run unchanged either way. The asynchronous schedule:
+
+    - a {e pulse} coincides with one logical round. Node [v] begins
+      pulse 0 at its clock-skew offset; its pulse-[p] computation costs
+      [straggle_factor] virtual-time units.
+    - every copy [v] sends spends [1 + latency] units per wire
+      crossing; when the acknowledgement of every pulse-[p] copy is
+      back (drops are sender-detectable — the NACK travels the ack's
+      schedule), [v] is {e safe} and fans SAFE to its live neighbors.
+    - [v] starts pulse [p + 1] at the maximum of: its own step end and
+      SAFE point, the physical arrival of every copy addressed into
+      pulse [p + 1], and the arrival of every live uncut neighbor's
+      pulse-[p] SAFE. When {!Async_engine.deadline} pacing is on, a
+      neighbor whose terms alone hold that gate open past everything
+      else [v] is waiting for (by more than the backed-off allowance)
+      is struck, and after [max_strikes] consecutive strikes cut; its
+      copies then drop with reason [Straggler], starving the heartbeat
+      {!Detector} into suspecting it. The criterion is relative, so lag
+      inherited from a straggler deeper in the graph cancels out
+      instead of cascading cuts ring by ring.
+
+    Determinism and exactness (DESIGN.md Section 3g): user steps run
+    in virtual-time order off a deterministic event queue, but the
+    adversary's fates are drawn at pulse commit in the identity
+    schedule's order (node ascending, outbox order), and timing draws
+    are pure seed hashes — so outputs and the core traffic metrics are
+    byte-identical to the synchronous run whenever the timing
+    dimensions preserve semantics (no unbounded stalls, deadline pacing
+    off). Synchronizer overhead is charged to the separate [pulses] /
+    [safe_messages] / [straggles] / [virtual_time] counters. A node
+    inside an unbounded stall window is treated as crash-stopped.
 
     An optional audit mode (DESIGN.md "Model compliance & static
     analysis") cross-checks the engine's own accounting every round and

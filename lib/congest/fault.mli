@@ -253,12 +253,13 @@ val severed : t -> src:int -> dst:int -> bool
     order, which differs from the synchronous send order), they leave
     {!plan}'s stream untouched (a synchronous run of the same profile is
     byte-identical with or without timing dimensions), and they replay
-    from the seed alone. Only {!Async_engine}/{!Synchronizer} consult
-    them; the synchronous engine enforces lockstep by fiat. *)
+    from the seed alone. Only the asynchronous schedule of
+    {!Engine.Make.run} consults them; identity timing enforces lockstep
+    by fiat. *)
 
 (** [timing_active t] — does the profile have any timing dimension
-    (stragglers, link latency, or clock skew)? {!Synchronizer} routes
-    such runs through the asynchronous executor. *)
+    (stragglers, link latency, or clock skew)? {!Engine.Make.run}
+    executes such runs asynchronously. *)
 val timing_active : t -> bool
 
 (** [straggle_factor t ~round v] — the virtual-time stretch of node

@@ -8,7 +8,7 @@ module Word = struct
   let words _ = 1
 end
 
-module E = Synchronizer.Make (Word)
+module E = Engine.Make (Word)
 module T = Transport.Make (Word)
 
 let elect ?faults ?(reliable = false) skeleton ~metrics =

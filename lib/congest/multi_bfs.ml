@@ -8,7 +8,7 @@ type state = {
   delayed : (int * int * int) list;  (* (start round, instance, dist 0) for roots *)
 }
 
-module E = Synchronizer.Make (struct
+module E = Engine.Make (struct
   type t = int * int
 
   let words _ = 2

@@ -37,7 +37,7 @@ module Make (M : Engine.MSG) = struct
     let intact p = checksum p = p.crc
   end
 
-  module E = Synchronizer.Make (Packet)
+  module E = Engine.Make (Packet)
 
   type link = {
     mutable next_seq : int;

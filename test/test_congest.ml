@@ -11,6 +11,7 @@ module Bellman_ford = Repro_congest.Bellman_ford
 module Apsp = Repro_congest.Apsp
 module Fault = Repro_congest.Fault
 module Transport = Repro_congest.Transport
+module Async_engine = Repro_congest.Async_engine
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -103,6 +104,20 @@ module IntMsg = struct
 end
 
 module E = Engine.Make (IntMsg)
+
+(* The engine contract (bandwidth checks, diagnostics, round limit,
+   inbox order) is the same in both executor modes: [in_mode ~async:true]
+   runs a case on the α-synchronizer, as the --async flag does. *)
+let in_mode ~async f =
+  let saved = !Async_engine.forced in
+  Async_engine.forced := async;
+  Fun.protect ~finally:(fun () -> Async_engine.forced := saved) f
+
+let both_modes name f =
+  [
+    Alcotest.test_case name `Quick (fun () -> in_mode ~async:false f);
+    Alcotest.test_case (name ^ " async") `Quick (fun () -> in_mode ~async:true f);
+  ]
 
 let test_engine_enforces_bandwidth () =
   let sk = Generators.path 2 in
@@ -202,6 +217,36 @@ let test_engine_oversize_diagnostics () =
            ~step:(fun ~round:_ ~node st _ ->
              if node = 0 && st then (false, [ (1, 7) ]) else (false, []))
            ~active:Fun.id ~metrics:m ~label:"t" ()))
+
+let test_engine_timing_profile_pulses () =
+  (* a timing dimension puts even a plain Engine.Make run on the
+     virtual clock, and the α-synchronizer reproduces the sync run *)
+  let g = Generators.k_tree ~seed:2 12 2 in
+  let flood ?faults m =
+    E.run g
+      ~init:(fun v -> (if v = 0 then 0 else max_int), v = 0)
+      ~step:(fun ~round:_ ~node (d, fresh) inbox ->
+        let d' = List.fold_left (fun acc (_, x) -> min acc (x + 1)) d inbox in
+        if fresh || d' < d then
+          ((d', false), Array.to_list (Array.map (fun u -> (u, d')) (Digraph.neighbors g node)))
+        else ((d', false), []))
+      ~active:snd ?faults ~metrics:m ~label:"flood" ()
+  in
+  let m_sync = Metrics.create () and m_async = Metrics.create () in
+  let sync = flood m_sync in
+  let timed =
+    flood m_async
+      ~faults:
+        (Fault.create ~seed:3
+           (Fault.profile
+              ~stragglers:[ Fault.straggle 4 ~from:1 ~until:6 ~factor:3 ]
+              ~link_latency:2 ~skew:2 ()))
+  in
+  check_bool "sync outputs" true (sync = timed);
+  check_int "sync rounds" (Metrics.rounds m_sync) (Metrics.rounds m_async);
+  check_int "sync messages" (Metrics.messages m_sync) (Metrics.messages m_async);
+  check_int "sync run does not pulse" 0 (Metrics.pulses m_sync);
+  check_bool "timed run pulses" true (Metrics.pulses m_async > 0)
 
 let test_engine_counts_words_and_delivered () =
   let sk = Generators.path 2 in
@@ -1369,14 +1414,18 @@ let () =
         ] );
       ( "engine",
         [
-          Alcotest.test_case "bandwidth" `Quick test_engine_enforces_bandwidth;
-          Alcotest.test_case "non neighbor" `Quick test_engine_rejects_non_neighbor;
           Alcotest.test_case "round counting" `Quick test_engine_counts_rounds;
-          Alcotest.test_case "round limit payload" `Quick test_engine_round_limit_payload;
-          Alcotest.test_case "inbox sorted by sender" `Quick test_engine_inbox_sorted_by_sender;
-          Alcotest.test_case "oversize diagnostics" `Quick test_engine_oversize_diagnostics;
           Alcotest.test_case "words and delivered" `Quick test_engine_counts_words_and_delivered;
-        ] );
+          Alcotest.test_case "timing profile pulses" `Quick test_engine_timing_profile_pulses;
+        ]
+        @ List.concat
+            [
+              both_modes "bandwidth" test_engine_enforces_bandwidth;
+              both_modes "non neighbor" test_engine_rejects_non_neighbor;
+              both_modes "round limit payload" test_engine_round_limit_payload;
+              both_modes "inbox sorted by sender" test_engine_inbox_sorted_by_sender;
+              both_modes "oversize diagnostics" test_engine_oversize_diagnostics;
+            ] );
       ( "audit",
         [
           Alcotest.test_case "unstable words" `Quick test_audit_catches_unstable_words;

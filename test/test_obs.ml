@@ -451,6 +451,93 @@ let test_replay_divergence_raises () =
   | _ -> Alcotest.fail "expected Replay.Divergence on a mismatched execution"
 
 (* ------------------------------------------------------------------ *)
+(* Golden traces: the digests of the recorded JSONL trace and of
+   Metrics.to_json for five fixed-seed runs, one per executor mode —
+   sync, reliable transport, crash recovery, async and deadline-paced.
+   A change here means the executor's observable schedule changed, and
+   traces recorded before it no longer replay. *)
+
+let golden name ~shows ~trace ~metrics run =
+  Alcotest.test_case name `Quick (fun () ->
+      let m, events =
+        with_recorder (fun () ->
+            let m = Metrics.create () in
+            run m;
+            m)
+      in
+      check_bool "the run exercises its mode" true (List.exists shows events);
+      let digest s = Digest.to_hex (Digest.string s) in
+      let jsonl = String.concat "" (List.map (fun e -> Event.to_json e ^ "\n") events) in
+      check_string "trace digest" trace (digest jsonl);
+      check_string "metrics digest" metrics (digest (Metrics.to_json m)))
+
+let golden_graph = Generators.partial_k_tree ~seed:3 20 2 ~keep:0.7
+
+let golden_cases =
+  [
+    golden "fault-free bfs"
+      ~shows:(function Event.Deliver _ -> true | _ -> false)
+      ~trace:"294534bb40ee3f910173fef732eece5e"
+      ~metrics:"514a92833a11722c981021ed38014b44" (fun m ->
+        ignore (Bfs_tree.build golden_graph ~root:0 ~metrics:m));
+    golden "bellman-ford over transport"
+      ~shows:(function Event.Retransmit _ -> true | _ -> false)
+      ~trace:"5b55304fb91d05b5ec0546a0df69f72a"
+      ~metrics:"55e60e377a9a89d719a658052005e296" (fun m ->
+        let faults =
+          Fault.create ~seed:11
+            (Fault.profile ~drop:0.2 ~duplicate:0.15 ~max_delay:2 ~corrupt:0.1 ())
+        in
+        let gw = Generators.random_weights ~seed:3 ~max_weight:9 golden_graph in
+        ignore (Bellman_ford.run ~faults ~reliable:true gw ~source:0 ~metrics:m));
+    golden "bfs under recovery"
+      ~shows:(function Event.Recovery_resync _ -> true | _ -> false)
+      ~trace:"e4379a6e7ab6e6f214ebd3ec6b6e31c5"
+      ~metrics:"2d7fa385cb418e085857cfe662901554" (fun m ->
+        let faults =
+          Fault.create ~seed:5
+            (Fault.profile ~drop:0.1
+               ~crashes:[ Fault.crash 4 ~from:3 ~until:9 ~mode:Fault.Amnesia ]
+               ~partitions:[ Fault.partition ~from:2 ~heal:7 (Fault.Around [ 6 ]) ]
+               ())
+        in
+        ignore
+          (Bfs_tree.build ~faults ~recovery:{ Recovery.checkpoint_every = 3 } golden_graph
+             ~root:0 ~metrics:m));
+    golden "forced async"
+      ~shows:(function Event.Straggle _ -> true | _ -> false)
+      ~trace:"5be73c5884be377faacf3c4a20137d63"
+      ~metrics:"42e97e6381880a41ecb49c9b1d2db2b3" (fun m ->
+        let profile =
+          Fault.profile ~drop:0.1 ~duplicate:0.1 ~max_delay:1
+            ~stragglers:[ Fault.straggle 5 ~from:2 ~until:9 ~factor:4 ]
+            ~link_latency:2 ~skew:3 ()
+        in
+        let gw = Generators.random_weights ~seed:3 ~max_weight:9 golden_graph in
+        with_async (fun () ->
+            ignore (Bfs_tree.build ~faults:(Fault.create ~seed:7 profile) golden_graph ~root:0 ~metrics:m);
+            ignore
+              (Bellman_ford.run ~faults:(Fault.create ~seed:8 profile) ~reliable:true gw
+                 ~source:0 ~metrics:m)));
+    golden "deadline-paced stall"
+      ~shows:(function Event.Straggler_cut _ -> true | _ -> false)
+      ~trace:"8186003feb24a3dbf3ef9c468abfade5"
+      ~metrics:"9a7d0b04b83b2c6f69bf1d30ce2c231c" (fun m ->
+        let g = Generators.k_tree ~seed:5 12 2 in
+        let faults =
+          Fault.create ~seed:1
+            (Fault.profile
+               ~stragglers:
+                 [ Fault.straggle 7 ~from:2 ~factor:40; Fault.straggle 2 ~from:4 ~factor:0 ]
+               ())
+        in
+        let saved = !Async_engine.deadline in
+        Async_engine.deadline := 4;
+        Fun.protect ~finally:(fun () -> Async_engine.deadline := saved) (fun () ->
+            ignore (Bfs_tree.build_certified ~faults g ~root:0 ~metrics:m)));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Critical path *)
 
 let test_critical_path_flood_on_path () =
@@ -559,6 +646,7 @@ let () =
           Alcotest.test_case "async divergence raises" `Quick
             test_async_replay_divergence_raises;
         ] );
+      ("golden traces", golden_cases);
       ( "critical path",
         [
           Alcotest.test_case "flood on a path" `Quick test_critical_path_flood_on_path;

@@ -1,10 +1,9 @@
 (* Domain-safety certifier (DESIGN.md §3f): can the engine be sharded
    across OCaml 5 Domains without data races?
 
-   The planned columnar multicore engine (ROADMAP item 1) will run the
-   per-node step closures and the engine round loop concurrently. Any
-   module-level mutable value such a region can reach is then a
-   potential data race. This pass classifies every module-level mutable
+   A columnar multicore engine would run the per-node step closures
+   and the engine round loop concurrently. Any module-level mutable
+   value such a region can reach is then a potential data race. This pass classifies every module-level mutable
    binding the call-graph builder detected into a three-point lattice:
 
    - [DomainSafe (Atomic)]  — the container is an [Atomic.t]: safe by
