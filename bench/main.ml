@@ -606,25 +606,8 @@ let fault_row ~experiment ~scenario fields =
     :: !fault_rows
 
 let metric_fields m =
-  [
-    ("rounds", string_of_int (Metrics.rounds m));
-    ("messages", string_of_int (Metrics.messages m));
-    ("retransmissions", string_of_int (Metrics.retransmissions m));
-    ("dropped", string_of_int (Metrics.dropped m));
-    ("duplicated", string_of_int (Metrics.duplicated m));
-    ("corrupted", string_of_int (Metrics.corrupted m));
-    ("rejected", string_of_int (Metrics.rejected m));
-    ("suspicions", string_of_int (Metrics.suspicions m));
-    ("link_failures", string_of_int (Metrics.link_failures m));
-    ("checkpoints", string_of_int (Metrics.checkpoints m));
-    ("checkpoint_words", string_of_int (Metrics.checkpoint_words m));
-    ("recoveries", string_of_int (Metrics.recoveries m));
-    ("resync_rounds", string_of_int (Metrics.resync_rounds m));
-    ("pulses", string_of_int (Metrics.pulses m));
-    ("safe_messages", string_of_int (Metrics.safe_messages m));
-    ("straggles", string_of_int (Metrics.straggles m));
-    ("virtual_time", string_of_int (Metrics.virtual_time m));
-  ]
+  ("rounds", string_of_int (Metrics.rounds m))
+  :: List.map (fun c -> (Metrics.name c, string_of_int (Metrics.get m c))) Metrics.counters
 
 let flush_fault_json () =
   if !fault_rows <> [] then begin
@@ -682,8 +665,8 @@ let ef1 () =
             (cell 9 (string_of_int (Metrics.rounds m)))
             (cell 9
                (Printf.sprintf "%.1fx" (float_of_int (Metrics.rounds m) /. float_of_int raw)))
-            (cell 8 (string_of_int (Metrics.retransmissions m)))
-            (cell 8 (string_of_int (Metrics.dropped m)))
+            (cell 8 (string_of_int (Metrics.get m Retransmissions)))
+            (cell 8 (string_of_int (Metrics.get m Dropped)))
             (cell 6 (if t.Bfs_tree.dist = expected then "yes" else "NO")))
         [ 0.0; 0.1; 0.2; 0.3; 0.5 ])
     families
@@ -734,10 +717,10 @@ let ef2 () =
           (cell 7 (string_of_int (Metrics.rounds m)))
           (cell 9
              (Printf.sprintf "%.2fx" (float_of_int (Metrics.rounds m) /. float_of_int baseline)))
-          (cell 7 (string_of_int (Metrics.checkpoints m)))
-          (cell 10 (string_of_int (Metrics.checkpoint_words m)))
-          (cell 5 (string_of_int (Metrics.recoveries m)))
-          (cell 7 (string_of_int (Metrics.resync_rounds m)))
+          (cell 7 (string_of_int (Metrics.get m Checkpoints)))
+          (cell 10 (string_of_int (Metrics.get m Checkpoint_words)))
+          (cell 5 (string_of_int (Metrics.get m Recoveries)))
+          (cell 7 (string_of_int (Metrics.get m Resync_rounds)))
           (cell 6 (if t.Bfs_tree.dist = expected then "yes" else "NO"))
       in
       row "none/off" None { Recovery.checkpoint_every = 0 };
@@ -850,7 +833,7 @@ let ef4 () =
       let sync_rounds, sync_messages =
         let m = Metrics.create () in
         ignore (Bfs_tree.build g ~root:0 ~metrics:m);
-        (Metrics.rounds m, Metrics.messages m)
+        (Metrics.rounds m, Metrics.get m Messages)
       in
       let stragglers =
         [ Fault.straggle 5 ~from:2 ~until:10 ~factor:8;
@@ -876,10 +859,10 @@ let ef4 () =
           let exact =
             t.Bfs_tree.dist = expected
             && Metrics.rounds m = sync_rounds
-            && Metrics.messages m = sync_messages
+            && Metrics.get m Messages = sync_messages
           in
           let vt_per_round =
-            float_of_int (Metrics.virtual_time m)
+            float_of_int (Metrics.get m Virtual_time)
             /. float_of_int (max 1 (Metrics.rounds m))
           in
           fault_row ~experiment:"E-F4"
@@ -893,9 +876,9 @@ let ef4 () =
             (cell 5 (string_of_int (Digraph.n g)))
             (cell 24 sname)
             (cell 7 (string_of_int (Metrics.rounds m)))
-            (cell 7 (string_of_int (Metrics.pulses m)))
-            (cell 9 (string_of_int (Metrics.safe_messages m)))
-            (cell 9 (string_of_int (Metrics.virtual_time m)))
+            (cell 7 (string_of_int (Metrics.get m Pulses)))
+            (cell 9 (string_of_int (Metrics.get m Safe_messages)))
+            (cell 9 (string_of_int (Metrics.get m Virtual_time)))
             (cell 8 (Printf.sprintf "%.1f" vt_per_round))
             (cell 6 (if exact then "yes" else "NO")))
         scenarios)
@@ -1011,7 +994,7 @@ let eobs () =
   in
   let m = Metrics.create () in
   ignore (Bfs_tree.build ~faults g ~root:0 ~metrics:m);
-  if Metrics.pulses m = 0 then (
+  if Metrics.get m Pulses = 0 then (
     Printf.printf "   FAIL: async gate run never pulsed\n";
     exit 1);
   if !hits <> 0 then (

@@ -132,7 +132,7 @@ let run seeds checkpoint_every only obs =
     Format.printf "%-14s %-16s seed=%-3d %-12s %s (%d rounds, %d recoveries)@."
       graph profile_name seed label
       (if ok then "exact" else "MISMATCH")
-      (Metrics.rounds m) (Metrics.recoveries m);
+      (Metrics.rounds m) (Metrics.get m Recoveries);
     Metrics.merge ~into:total m;
     if not ok then incr failures
   in
@@ -149,7 +149,7 @@ let run seeds checkpoint_every only obs =
                  payload past the transport's checksum *)
               let integrity m =
                 profile.Fault.corrupt = 0.0
-                || Metrics.rejected m = Metrics.corrupted m
+                || Metrics.get m Rejected = Metrics.get m Corrupted
               in
               (* timing profiles must actually have taken the async
                  path: pulses are charged only by the synchronizer *)
@@ -158,7 +158,7 @@ let run seeds checkpoint_every only obs =
                 || profile.Fault.link_latency > 0
                 || profile.Fault.skew > 0
               in
-              let async_ok m = (not timing) || Metrics.pulses m > 0 in
+              let async_ok m = (not timing) || Metrics.get m Pulses > 0 in
               let m = Metrics.create () in
               let t = Bfs_tree.build ~faults:(faults ()) ~recovery skel ~root:0 ~metrics:m in
               case ~graph:gname ~profile_name:pname ~seed "bfs"
@@ -225,7 +225,7 @@ let run seeds checkpoint_every only obs =
                  | Detector.Complete -> false)
                 && dist_ok ~reachable:expected t.Bfs_tree.dist
                      (Traversal.bfs_undirected (prune_nodes skel cut_nodes) 0)
-                && Metrics.pulses m > 0)
+                && Metrics.get m Pulses > 0)
                 m
             done)
         deadline_profiles)

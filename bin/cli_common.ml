@@ -282,51 +282,9 @@ let load_replay path unreliable recovery ~detector_period ~max_retries ~async =
         Ok
           { faults = None; reliable = false; recovery; detector_period; max_retries; async }
       else
-        let crashes =
-          List.map
-            (fun (w : Replay.crash_window) ->
-              Fault.crash w.node ~from:w.from_round ?until:w.until_round
-                ~mode:(if w.amnesia then Fault.Amnesia else Fault.Freeze))
-            (Replay.crashes r)
-        in
-        let partitions =
-          List.map
-            (fun (w : Replay.partition_window) ->
-              let cut =
-                match w.links with
-                | [] -> Fault.Around w.nodes
-                | links -> Fault.Links links
-              in
-              Fault.partition ~from:w.p_from_round ?heal:w.heal_round cut)
-            (Replay.partitions r)
-        in
-        let plan ~run ~round ~src ~dst =
-          List.map
-            (fun (extra, corrupt) -> { Fault.extra; corrupt })
-            (Replay.plan r ~run ~round ~src ~dst)
-        in
-        (* timing dimensions replay from the recorded seed alone: the
-           draws are pure hashes, so restoring the statics reproduces
-           the exact virtual-time schedule *)
-        let stragglers =
-          List.map
-            (fun (w : Replay.straggle_window) ->
-              Fault.straggle w.s_node ~from:w.s_from_round ?until:w.s_until_round
-                ~factor:w.s_factor)
-            (Replay.stragglers r)
-        in
-        let link_latency, skew, timing_seed =
-          match Replay.timing r with
-          | Some { Replay.link_latency; skew; timing_seed } ->
-              (link_latency, skew, timing_seed)
-          | None -> (0, 0, 0)
-        in
         Ok
           {
-            faults =
-              Some
-                (Fault.scripted ~crashes ~partitions ~stragglers ~link_latency ~skew
-                   ~timing_seed plan);
+            faults = Some (Fault.of_replay r);
             reliable = not unreliable;
             recovery;
             detector_period;

@@ -55,9 +55,9 @@ let run g source fc obs =
   Format.printf "baseline Bellman-Ford: %s, %d rounds@."
     (if bf_ok then "exact" else "MISMATCH")
     (Metrics.rounds mb);
-  if Metrics.retransmissions mb > 0 then
+  if Metrics.get mb Retransmissions > 0 then
     Format.printf "baseline transport: %d retransmissions over %d dropped / %d duplicated@."
-      (Metrics.retransmissions mb) (Metrics.dropped mb) (Metrics.duplicated mb);
+      (Metrics.get mb Retransmissions) (Metrics.get mb Dropped) (Metrics.get mb Duplicated);
   Cli_common.metrics_json obs ~name:"bellman-ford" mb;
   if not (ok && bf_ok) then exit 1
 

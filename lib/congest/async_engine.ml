@@ -6,8 +6,8 @@ module Sink = Repro_obs.Sink
    [Engine.audit_enabled]: the algorithm layers never thread them. *)
 let forced = ref false
 let deadline = ref 0
-let default_max_strikes = 3
-let max_strikes = ref default_max_strikes
+
+let max_strikes = 3
 
 (* Exponential backoff on the pulse deadline is capped so the budget
    stays a sane int even for pathological strike counts. *)
@@ -110,9 +110,9 @@ let dispatch t ~round step =
       (* the SAFE point starts at the step's end; acknowledgements of
          the copies committed for this pulse raise it *)
       t.safe_vt.(v) <- t.step_end.(v);
-      Metrics.add_pulses t.metrics 1;
+      Metrics.add_count t.metrics Pulses 1;
       if factor <> 1 then begin
-        Metrics.add_straggles t.metrics 1;
+        Metrics.add_count t.metrics Straggles 1;
         if tracing then Sink.emit t.sink (Event.Straggle { round; node = v; factor; vt })
       end;
       if tracing then Sink.emit t.sink (Event.Pulse { round; node = v; vt });
@@ -148,13 +148,13 @@ let commit t ~round send =
   for v = 0 to t.n - 1 do
     if t.stepped.(v) then begin
       send v;
-      Metrics.observe_virtual_time t.metrics t.safe_vt.(v);
+      Metrics.add_count t.metrics Virtual_time t.safe_vt.(v);
       (* SAFE fan-out to live neighbors (a cutter still receives and
          ignores the cuttee's SAFE — the cut is its local decision,
          invisible to the straggler) *)
       let nb = t.neighbors.(v) in
       for i = 0 to Array.length nb - 1 do
-        if not (t.down ~round nb.(i)) then Metrics.add_safe_messages t.metrics 1
+        if not (t.down ~round nb.(i)) then Metrics.add_count t.metrics Safe_messages 1
       done;
       if tracing then Sink.emit t.sink (Event.Safe { round; node = v; vt = t.safe_vt.(v) })
     end
@@ -220,7 +220,7 @@ let gate t ~round =
             let s = match Hashtbl.find_opt t.strikes key with Some s -> s | None -> 0 in
             if u_term - rest > 2 * strike_allowance ~strikes:s then begin
               let s = s + 1 in
-              if s >= !max_strikes then begin
+              if s >= max_strikes then begin
                 Hashtbl.replace t.cut key ();
                 Hashtbl.remove t.strikes key;
                 if tracing then

@@ -36,10 +36,8 @@ val forced : bool ref
     suspecting it so [run_certified] can excise it. *)
 val deadline : int ref
 
-(** Consecutive blown deadlines before a neighbor is cut. *)
-val max_strikes : int ref
-
-val default_max_strikes : int
+(** Consecutive blown deadlines before a neighbor is cut: 3. *)
+val max_strikes : int
 
 (** Cap on the exponent of the deadline backoff ([2^shift]). *)
 val max_backoff_shift : int

@@ -104,7 +104,7 @@ module Make (M : Engine.MSG) = struct
 
   type 'st result = { states : 'st array; suspects : int list array }
 
-  let run skeleton ~init ~step ~active ?faults ?on_restart ?rto ?jitter_seed
+  let run skeleton ~init ~step ~active ?faults ?on_restart ?jitter_seed
       ?max_retries ?(period = 4) ?timeout ?max_rounds
       ?(max_words = Engine.default_max_words) ~metrics ~label () =
     if period < 2 then invalid_arg "Detector.run: period must be >= 2";
@@ -176,7 +176,7 @@ module Make (M : Engine.MSG) = struct
           (fun i u ->
             if (not st.suspect.(i)) && round - st.last_heard.(i) >= timeout then begin
               st.suspect.(i) <- true;
-              Metrics.add_suspicions metrics 1;
+              Metrics.add_count metrics Suspicions 1;
               if tracing then
                 Repro_obs.Sink.emit sink
                   (Repro_obs.Event.Suspect { round; node = v; peer = u })
@@ -210,7 +210,7 @@ module Make (M : Engine.MSG) = struct
     let wrap_active st = active st.user || st.watch > 0 in
     let states =
       T.run skeleton ?faults ~init:wrap_init ~step:wrap_step ~active:wrap_active
-        ~on_restart:wrap_restart ?rto ?jitter_seed ?max_retries ?max_rounds
+        ~on_restart:wrap_restart ?jitter_seed ?max_retries ?max_rounds
         ~max_words:(max_words + 1) ~metrics ~label ()
     in
     {

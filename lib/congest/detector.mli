@@ -18,7 +18,7 @@
     (it is an unreliable detector in the Chandra–Toueg sense): a
     retransmission storm can delay beats past [timeout]; the default
     [timeout = 3 * period >= period + 2] leaves one full
-    retransmission cycle of slack at the default [rto].
+    retransmission cycle of slack at the transport's 4-round timeout.
 
     {b Quiescence.} Heartbeating forever would never terminate, so each
     node keeps a {e watch} counter, re-armed by user-level activity
@@ -84,7 +84,7 @@ module Make (M : Engine.MSG) : sig
         (default [3 * period]; must exceed [period + 2]).
 
       Heartbeats and suspicions are charged to the shared [metrics]
-      ({!Metrics.add_suspicions}, plus ordinary message/word charges
+      ({!Metrics.Suspicions}, plus ordinary message/word charges
       for beats — degraded-mode detection is not free). *)
   val run :
     Repro_graph.Digraph.t ->
@@ -94,7 +94,6 @@ module Make (M : Engine.MSG) : sig
     active:('st -> bool) ->
     ?faults:Fault.t ->
     ?on_restart:(round:int -> node:int -> 'st) ->
-    ?rto:int ->
     ?jitter_seed:int ->
     ?max_retries:int ->
     ?period:int ->

@@ -218,11 +218,11 @@ module Make (M : MSG) = struct
     and a_delivered = ref 0 (* copies placed in an inbox *)
     and a_dropped = ref 0 (* copies destroyed (link loss or dead receiver) *)
     and a_duplicated = ref 0 (* extra copies injected by the adversary *) in
-    let base_messages = Metrics.messages metrics
-    and base_words = Metrics.words metrics
-    and base_delivered = Metrics.delivered metrics
-    and base_dropped = Metrics.dropped metrics
-    and base_duplicated = Metrics.duplicated metrics in
+    let base_messages = Metrics.get metrics Messages
+    and base_words = Metrics.get metrics Words
+    and base_delivered = Metrics.get metrics Delivered
+    and base_dropped = Metrics.get metrics Dropped
+    and base_duplicated = Metrics.get metrics Duplicated in
     let violation detail = raise (Audit_violation { label; round = !round; detail }) in
     let audit_counter name expected actual =
       if expected <> actual then
@@ -242,11 +242,11 @@ module Make (M : MSG) = struct
              "copy conservation broken: sent=%d + duplicated=%d <> delivered=%d + dropped=%d \
               + in-flight=%d"
              !a_sent !a_duplicated !a_delivered !a_dropped in_flight_delayed);
-      audit_counter "messages" !a_sent (Metrics.messages metrics - base_messages);
-      audit_counter "words" !a_words (Metrics.words metrics - base_words);
-      audit_counter "delivered" !a_delivered (Metrics.delivered metrics - base_delivered);
-      audit_counter "dropped" !a_dropped (Metrics.dropped metrics - base_dropped);
-      audit_counter "duplicated" !a_duplicated (Metrics.duplicated metrics - base_duplicated)
+      audit_counter "messages" !a_sent (Metrics.get metrics Messages - base_messages);
+      audit_counter "words" !a_words (Metrics.get metrics Words - base_words);
+      audit_counter "delivered" !a_delivered (Metrics.get metrics Delivered - base_delivered);
+      audit_counter "dropped" !a_dropped (Metrics.get metrics Dropped - base_dropped);
+      audit_counter "duplicated" !a_duplicated (Metrics.get metrics Duplicated - base_duplicated)
     in
     let audit_inbox_sorted v inbox =
       let rec check = function
@@ -266,7 +266,7 @@ module Make (M : MSG) = struct
     let delivered_this_round = ref 0 in
     let sent_to = Hashtbl.create 8 in
     let drop ~send_round ~round ~src ~dst ~words reason =
-      Metrics.add_dropped metrics 1;
+      Metrics.add_count metrics Dropped 1;
       if audit then incr a_dropped;
       if tracing then
         emit (Repro_obs.Event.Drop { send_round; round; src; dst; words; reason })
@@ -370,7 +370,7 @@ module Make (M : MSG) = struct
               drop ~send_round:!round ~round:!round ~src:v ~dst:u ~words:w Link
           | fates ->
               if List.length fates > 1 then begin
-                Metrics.add_duplicated metrics (List.length fates - 1);
+                Metrics.add_count metrics Duplicated (List.length fates - 1);
                 if audit then a_duplicated := !a_duplicated + List.length fates - 1;
                 if tracing then
                   emit
@@ -382,7 +382,7 @@ module Make (M : MSG) = struct
                   let deliver_round = !round + 1 + extra in
                   let arr = transmit v u k in
                   if corrupted then begin
-                    Metrics.add_corrupted metrics 1;
+                    Metrics.add_count metrics Corrupted 1;
                     if tracing then
                       emit
                         (Repro_obs.Event.Corrupt
@@ -479,9 +479,9 @@ module Make (M : MSG) = struct
       inboxes := filled;
       Array.fill !next_inboxes 0 n [];
       in_flight := Array.exists (fun ib -> ib <> []) filled;
-      Metrics.add_messages metrics !sent_this_round;
-      Metrics.add_words metrics !words_this_round;
-      Metrics.add_delivered metrics !delivered_this_round;
+      Metrics.add_count metrics Messages !sent_this_round;
+      Metrics.add_count metrics Words !words_this_round;
+      Metrics.add_count metrics Delivered !delivered_this_round;
       if audit then audit_round_end ();
       if tracing then emit (Repro_obs.Event.Round_end { round = !round });
       (match pulsed with Some a -> Async_engine.gate a ~round:!round | None -> ());

@@ -144,7 +144,7 @@ module Make (M : MSG) : sig
         per-copy decisions (so partitions replay exactly and consume no
         randomness); a copy already in flight when a cut lands still
         arrives — the cut severs new transmissions. Corrupted copies
-        are charged to [Metrics.add_corrupted] and handled per
+        are charged to {!Metrics.Corrupted} and handled per
         [corrupt] below.
       - [on_restart ~round ~node], when given, replaces [init] for
         rebuilding the state of an amnesia-restarted node (default:

@@ -1,3 +1,5 @@
+module Replay = Repro_obs.Replay
+
 type mode = Freeze | Amnesia
 
 type crash = { node : int; from_round : int; until_round : int option; mode : mode }
@@ -136,6 +138,39 @@ let scripted ?(crashes = []) ?(partitions = []) ?(stragglers = []) ?(link_latenc
     seed = timing_seed;
     run = -1;
   }
+
+let of_replay r =
+  let crashes =
+    List.map
+      (fun (w : Replay.crash_window) ->
+        crash w.node ~from:w.from_round ?until:w.until_round
+          ~mode:(if w.amnesia then Amnesia else Freeze))
+      (Replay.crashes r)
+  in
+  let partitions =
+    List.map
+      (fun (w : Replay.partition_window) ->
+        let cut = match w.links with [] -> Around w.nodes | links -> Links links in
+        partition ~from:w.p_from_round ?heal:w.heal_round cut)
+      (Replay.partitions r)
+  in
+  (* timing dimensions replay from the recorded seed alone: the draws
+     are pure hashes, so restoring the statics reproduces the exact
+     virtual-time schedule *)
+  let stragglers =
+    List.map
+      (fun (w : Replay.straggle_window) ->
+        straggle w.s_node ~from:w.s_from_round ?until:w.s_until_round ~factor:w.s_factor)
+      (Replay.stragglers r)
+  in
+  let link_latency, skew, timing_seed =
+    match Replay.timing r with
+    | Some { Replay.link_latency; skew; timing_seed } -> (link_latency, skew, timing_seed)
+    | None -> (0, 0, 0)
+  in
+  scripted ~crashes ~partitions ~stragglers ~link_latency ~skew ~timing_seed
+    (fun ~run ~round ~src ~dst ->
+      List.map (fun (extra, corrupt) -> { extra; corrupt }) (Replay.plan r ~run ~round ~src ~dst))
 
 let begin_run t = t.run <- t.run + 1
 let profile_of t = t.p

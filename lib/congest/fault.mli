@@ -185,6 +185,11 @@ val scripted :
   (run:int -> round:int -> src:int -> dst:int -> fate list) ->
   t
 
+(** [of_replay r] is the {!scripted} adversary that replays the recorded
+    trace [r]: its crash, partition and straggler windows, its timing
+    statics and seed, and its per-copy delivery schedule. *)
+val of_replay : Repro_obs.Replay.t -> t
+
 (** [begin_run t] announces that a new [Engine.run] is starting; the
     engine calls it once per run. Scripted deciders use the resulting
     run index to section their schedule (rounds restart at 0 each

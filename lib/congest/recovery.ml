@@ -43,7 +43,7 @@ module Make (P : RECOVERABLE) = struct
     nbrs : int array;
   }
 
-  let run skeleton ?faults ?(checkpoint_every = 0) ?rto ?max_rounds ?max_words ~metrics
+  let run skeleton ?faults ?(checkpoint_every = 0) ?max_rounds ?max_words ~metrics
       ~label () =
     if checkpoint_every < 0 then invalid_arg "Recovery.run: negative checkpoint interval";
     let sink = !Engine.trace_sink in
@@ -62,7 +62,7 @@ module Make (P : RECOVERABLE) = struct
     in
     let wrap_init v = fresh_rst ~hello:false v (P.init v) in
     let wrap_restart ~round:_ ~node =
-      Metrics.add_recoveries metrics 1;
+      Metrics.add_count metrics Recoveries 1;
       let user =
         match stable.(node) with
         | Some snap -> P.restore ~node snap
@@ -91,14 +91,14 @@ module Make (P : RECOVERABLE) = struct
       if checkpoint_every > 0 && round > 0 && round mod checkpoint_every = 0 then begin
         let snap = P.snapshot user in
         stable.(v) <- Some snap;
-        Metrics.add_checkpoints metrics 1;
-        Metrics.add_checkpoint_words metrics (Array.length snap);
+        Metrics.add_count metrics Checkpoints 1;
+        Metrics.add_count metrics Checkpoint_words (Array.length snap);
         if tracing then
           Repro_obs.Sink.emit sink
             (Repro_obs.Event.Checkpoint { round; node = v; words = Array.length snap })
       end;
       let awaiting = Hashtbl.length st.await in
-      if awaiting > 0 then Metrics.add_resync_rounds metrics 1
+      if awaiting > 0 then Metrics.add_count metrics Resync_rounds 1
       else if st.resyncing then begin
         (* the post-restart handshake just completed: every neighbor has
            been heard from since the reboot *)
@@ -137,7 +137,7 @@ module Make (P : RECOVERABLE) = struct
     in
     let states =
       T.run skeleton ?faults ~init:wrap_init ~step:wrap_step ~active:wrap_active
-        ~on_restart:wrap_restart ?rto ?max_rounds ?max_words ~metrics ~label ()
+        ~on_restart:wrap_restart ?max_rounds ?max_words ~metrics ~label ()
     in
     Array.map (fun st -> st.user) states
   [@@charge_site]

@@ -78,7 +78,6 @@ module Make (P : RECOVERABLE) : sig
     Repro_graph.Digraph.t ->
     ?faults:Fault.t ->
     ?checkpoint_every:int ->
-    ?rto:int ->
     ?max_rounds:int ->
     ?max_words:int ->
     metrics:Metrics.t ->

@@ -1,5 +1,10 @@
 module Digraph = Repro_graph.Digraph
 
+(* initial retransmission timeout in rounds; it must exceed the 2-round
+   fault-free ack latency (data, then ack), or every message would be
+   retransmitted before its ack could arrive *)
+let rto = 4
+
 module Make (M : Engine.MSG) = struct
   type inbox = (int * M.t) list
   type outbox = (int * M.t) list
@@ -82,10 +87,9 @@ module Make (M : Engine.MSG) = struct
       peer_epoch = 0;
     }
 
-  let run skeleton ~init ~step ~active ?faults ?on_restart ?(rto = 4)
-      ?(jitter_seed = 0) ?(max_retries = 25) ?max_rounds
-      ?(max_words = Engine.default_max_words) ~metrics ~label () =
-    if rto <= 2 then invalid_arg "Transport.run: rto must exceed the 2-round ack latency";
+  let run skeleton ~init ~step ~active ?faults ?on_restart ?(jitter_seed = 0)
+      ?(max_retries = 25) ?max_rounds ?(max_words = Engine.default_max_words) ~metrics ~label
+      () =
     if max_retries < 0 then invalid_arg "Transport.run: negative max_retries";
     (* deterministic desynchronization of retransmission timers: a pure
        hash of (seed, link, seq, attempt), so replaying the same run
@@ -129,7 +133,7 @@ module Make (M : Engine.MSG) = struct
                Reject the packet wholesale — its epoch, data, ack and
                nack are all untrusted — and owe the peer a NACK so it
                retransmits without waiting out its timeout. *)
-            Metrics.add_rejected metrics 1;
+            Metrics.add_count metrics Rejected 1;
             l.nack_owed <- true
           end
           else if p.Packet.epoch >= l.peer_epoch then begin
@@ -214,14 +218,14 @@ module Make (M : Engine.MSG) = struct
                   l.nack_owed <- false;
                   Queue.clear l.sendq;
                   Queue.clear l.ackq;
-                  Metrics.add_link_failures metrics 1;
+                  Metrics.add_count metrics Link_failures 1;
                   if tracing then
                     Repro_obs.Sink.emit sink
                       (Repro_obs.Event.Link_lost
                          { round; src = v; dst = u; seq = s; retries = l.retries });
                   None
               | Some (s, m) when round >= l.retry_round ->
-                  Metrics.add_retransmissions metrics 1;
+                  Metrics.add_count metrics Retransmissions 1;
                   if tracing then
                     Repro_obs.Sink.emit sink
                       (Repro_obs.Event.Retransmit { round; src = v; dst = u; seq = s });

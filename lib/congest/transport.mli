@@ -32,7 +32,7 @@
     payload; the fault adversary's payload corruption is modeled as a
     checksum-breaking garble. A receiver rejects a checksum-failing
     packet wholesale (nothing in it is trusted — charged to
-    {!Metrics.add_rejected}) and sets a free NACK header bit on its next
+    {!Metrics.Rejected}) and sets a free NACK header bit on its next
     packet back, which makes the sender fast-retransmit its outstanding
     message instead of waiting out the timeout. Corrupted payloads are
     therefore never delivered to [step]: the algorithm sees only intact,
@@ -42,7 +42,7 @@
     most [max_retries] times (default 25). When the budget is exhausted
     the sender declares the link {e dead}: everything queued on it is
     abandoned, a [Link_lost] trace event and a
-    {!Metrics.add_link_failures} charge record the typed failure, and
+    {!Metrics.Link_failures} charge record the typed failure, and
     the link stops blocking quiescence — so a run over a permanently
     partitioned link terminates instead of retrying forever. The typed
     verdict surfaces one layer up: a {!Detector} turns silent links into
@@ -53,7 +53,7 @@
     (echoed epoch + seq), so the inner engine runs with [max_words + 5];
     a fault-free message costs ~2 rounds of link latency (data, then ack
     unblocks the next send). Retransmissions are charged to
-    {!Metrics.add_retransmissions}.
+    {!Metrics.Retransmissions}.
 
     Per-link memory is O(1): stop-and-wait delivers in order, so received
     sequences are deduplicated against a single delivered-seq watermark
@@ -73,12 +73,12 @@ module Make (M : Engine.MSG) : sig
         amnesia-restarted node (default: re-run [init]); the transport
         rebuilds its own link state (fresh queues, epoch = restart round)
         around it;
-      - [rto] — initial retransmission timeout in rounds (doubles on each
-        retry, capped at [64 * rto] plus jitter — the documented maximum
-        RTO). Must exceed the 2-round fault-free ack latency; default 4.
+      - the retransmission timeout is 4 rounds, more than the 2-round
+        fault-free ack latency; it doubles on each retry, capped at
+        [64 * 4] rounds plus jitter;
       - [jitter_seed] — seeds the retransmission-timer jitter: each
         backoff interval is stretched by
-        [hash (seed, link, seq, attempt) mod (1 + rto/2)] extra rounds.
+        [hash (seed, link, seq, attempt) mod 3] extra rounds.
         The jitter is a pure hash of the schedule position (no RNG
         state), so a replayed run reproduces the exact same
         retransmission schedule; default 0.
@@ -92,7 +92,6 @@ module Make (M : Engine.MSG) : sig
     active:('st -> bool) ->
     ?faults:Fault.t ->
     ?on_restart:(round:int -> node:int -> 'st) ->
-    ?rto:int ->
     ?jitter_seed:int ->
     ?max_retries:int ->
     ?max_rounds:int ->

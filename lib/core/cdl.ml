@@ -18,7 +18,7 @@ let build ?dec ?(seed = 0) g spec ~metrics =
   let sub = Metrics.create () in
   let labels = Dl.build product.Product.product lifted ~metrics:sub in
   Metrics.add metrics ~label:"cdl/simulated" (Metrics.rounds sub * Product.overhead product);
-  Metrics.add_messages metrics (Metrics.messages sub * Product.overhead product);
+  Metrics.add_count metrics Messages (Metrics.get sub Messages * Product.overhead product);
   { product; labels }
 
 let product t = t.product

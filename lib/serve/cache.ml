@@ -101,9 +101,9 @@ let misses t = t.misses
 let evictions t = t.evictions
 
 let flush t m =
-  Metrics.add_cache_hits m t.hits;
-  Metrics.add_cache_misses m t.misses;
-  Metrics.add_cache_evictions m t.evictions;
+  Metrics.add_count m Cache_hits t.hits;
+  Metrics.add_count m Cache_misses t.misses;
+  Metrics.add_count m Cache_evictions t.evictions;
   t.hits <- 0;
   t.misses <- 0;
   t.evictions <- 0

@@ -320,6 +320,6 @@ let aggregate ?tree (parts : Part.t) ~op ~value ~metrics ~label =
     | _ -> (!rounds_up, !rounds_down)
   in
   Metrics.add metrics ~label (rounds_up + rounds_down + delegation_rounds);
-  Metrics.add_messages metrics !messages;
+  Metrics.add_count metrics Messages !messages;
   ( results,
     { depth = tree.Bfs_tree.depth; max_load; rounds_up; rounds_down } )

@@ -5,7 +5,7 @@
 let run graph metrics =
   let init _node = 0 in
   let step _node st inbox =
-    Metrics.add_words metrics (List.length inbox);
+    Metrics.add_count metrics Words (List.length inbox);
     st
   in
   My_engine.run graph ~init ~step ~active:(fun _ _ -> true)

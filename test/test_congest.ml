@@ -27,9 +27,9 @@ let test_metrics_accumulates () =
   Metrics.add m ~label:"a" 3;
   Metrics.add m ~label:"b" 2;
   Metrics.add m ~label:"a" 1;
-  Metrics.add_messages m 10;
+  Metrics.add_count m Messages 10;
   check_int "rounds" 6 (Metrics.rounds m);
-  check_int "messages" 10 (Metrics.messages m);
+  check_int "messages" 10 (Metrics.get m Messages);
   Alcotest.(check (list (pair string int))) "breakdown" [ ("a", 4); ("b", 2) ]
     (Metrics.breakdown m)
 
@@ -38,10 +38,10 @@ let test_metrics_merge () =
   Metrics.add a ~label:"x" 2;
   Metrics.add b ~label:"x" 3;
   Metrics.add b ~label:"y" 1;
-  Metrics.add_messages b 5;
+  Metrics.add_count b Messages 5;
   Metrics.merge ~into:a b;
   check_int "merged rounds" 6 (Metrics.rounds a);
-  check_int "merged messages" 5 (Metrics.messages a);
+  check_int "merged messages" 5 (Metrics.get a Messages);
   Alcotest.(check (list (pair string int))) "merged breakdown" [ ("x", 5); ("y", 1) ]
     (Metrics.breakdown a)
 
@@ -56,43 +56,74 @@ let test_metrics_breakdown_ordering () =
 
 let test_metrics_words_delivered () =
   let m = Metrics.create () in
-  check_int "fresh words" 0 (Metrics.words m);
-  check_int "fresh delivered" 0 (Metrics.delivered m);
-  Metrics.add_words m 4;
-  Metrics.add_words m 3;
-  Metrics.add_delivered m 2;
-  check_int "words" 7 (Metrics.words m);
-  check_int "delivered" 2 (Metrics.delivered m);
+  check_int "fresh words" 0 (Metrics.get m Words);
+  check_int "fresh delivered" 0 (Metrics.get m Delivered);
+  Metrics.add_count m Words 4;
+  Metrics.add_count m Words 3;
+  Metrics.add_count m Delivered 2;
+  check_int "words" 7 (Metrics.get m Words);
+  check_int "delivered" 2 (Metrics.get m Delivered);
   let b = Metrics.create () in
-  Metrics.add_words b 5;
-  Metrics.add_delivered b 1;
+  Metrics.add_count b Words 5;
+  Metrics.add_count b Delivered 1;
   Metrics.merge ~into:m b;
-  check_int "merged words" 12 (Metrics.words m);
-  check_int "merged delivered" 3 (Metrics.delivered m)
+  check_int "merged words" 12 (Metrics.get m Words);
+  check_int "merged delivered" 3 (Metrics.get m Delivered)
 
 let test_metrics_fault_counters () =
   let m = Metrics.create () in
-  check_int "fresh dropped" 0 (Metrics.dropped m);
-  check_int "fresh duplicated" 0 (Metrics.duplicated m);
-  check_int "fresh retransmissions" 0 (Metrics.retransmissions m);
-  Metrics.add_dropped m 3;
-  Metrics.add_duplicated m 2;
-  Metrics.add_retransmissions m 7;
-  Metrics.add_retransmissions m 1;
-  check_int "dropped" 3 (Metrics.dropped m);
-  check_int "duplicated" 2 (Metrics.duplicated m);
-  check_int "retransmissions" 8 (Metrics.retransmissions m)
+  check_int "fresh dropped" 0 (Metrics.get m Dropped);
+  check_int "fresh duplicated" 0 (Metrics.get m Duplicated);
+  check_int "fresh retransmissions" 0 (Metrics.get m Retransmissions);
+  Metrics.add_count m Dropped 3;
+  Metrics.add_count m Duplicated 2;
+  Metrics.add_count m Retransmissions 7;
+  Metrics.add_count m Retransmissions 1;
+  check_int "dropped" 3 (Metrics.get m Dropped);
+  check_int "duplicated" 2 (Metrics.get m Duplicated);
+  check_int "retransmissions" 8 (Metrics.get m Retransmissions)
 
 let test_metrics_merge_fault_counters () =
   let a = Metrics.create () and b = Metrics.create () in
-  Metrics.add_dropped a 1;
-  Metrics.add_dropped b 2;
-  Metrics.add_duplicated b 4;
-  Metrics.add_retransmissions b 6;
+  Metrics.add_count a Dropped 1;
+  Metrics.add_count b Dropped 2;
+  Metrics.add_count b Duplicated 4;
+  Metrics.add_count b Retransmissions 6;
   Metrics.merge ~into:a b;
-  check_int "merged dropped" 3 (Metrics.dropped a);
-  check_int "merged duplicated" 4 (Metrics.duplicated a);
-  check_int "merged retransmissions" 6 (Metrics.retransmissions a)
+  check_int "merged dropped" 3 (Metrics.get a Dropped);
+  check_int "merged duplicated" 4 (Metrics.get a Duplicated);
+  check_int "merged retransmissions" 6 (Metrics.get a Retransmissions)
+
+(* every counter's JSON key and position, and merge's rule (sums add,
+   the virtual-time high-water mark takes the max): the i-th counter
+   (from 1, declaration order) holds i *)
+let counters_json =
+  {|{"name":"x","rounds":3,"messages":1,"words":2,"delivered":3,"dropped":4,"duplicated":5,"retransmissions":6,"corrupted":7,"rejected":8,"suspicions":9,"link_failures":10,"checkpoints":11,"checkpoint_words":12,"recoveries":13,"resync_rounds":14,"pulses":15,"safe_messages":16,"straggles":17,"virtual_time":18,"cache_hits":19,"cache_misses":20,"cache_evictions":21,"labels":{"a":3}}|}
+
+let test_metrics_counters_json () =
+  let m = Metrics.create () in
+  List.iteri (fun i c -> Metrics.add_count m c (i + 1)) Metrics.counters;
+  Metrics.add m ~label:"a" 3;
+  Alcotest.(check string) "json" counters_json (Metrics.to_json ~name:"x" m);
+  let twice = Metrics.create () in
+  Metrics.merge ~into:twice m;
+  Metrics.merge ~into:twice m;
+  (* sums double; the virtual-time makespan is a high-water mark *)
+  List.iteri
+    (fun i c ->
+      let v = i + 1 in
+      check_int (Metrics.name c) (if c = Virtual_time then v else 2 * v) (Metrics.get twice c))
+    Metrics.counters;
+  Alcotest.(check (list (pair string int))) "labels" [ ("a", 6) ] (Metrics.breakdown twice)
+
+let test_metrics_pp () =
+  let m = Metrics.create () in
+  Metrics.add_count m Dropped 2;
+  Metrics.add_count m Pulses 5;
+  Metrics.add m ~label:"a" 3;
+  (* rounds and messages always; other counters only when nonzero *)
+  Alcotest.(check string) "pp" "rounds=3 messages=0 dropped=2 pulses=5\n  a                        3"
+    (Format.asprintf "%a" Metrics.pp m)
 
 (* ------------------------------------------------------------------ *)
 (* Engine *)
@@ -162,7 +193,7 @@ let test_engine_counts_rounds () =
   in
   check_int "receiver got it" 70 states.(1);
   check_bool "bounded rounds" true (Metrics.rounds m <= 3);
-  check_int "one message" 1 (Metrics.messages m)
+  check_int "one message" 1 (Metrics.get m Messages)
 
 let test_engine_round_limit_payload () =
   let sk = Generators.path 3 in
@@ -244,9 +275,9 @@ let test_engine_timing_profile_pulses () =
   in
   check_bool "sync outputs" true (sync = timed);
   check_int "sync rounds" (Metrics.rounds m_sync) (Metrics.rounds m_async);
-  check_int "sync messages" (Metrics.messages m_sync) (Metrics.messages m_async);
-  check_int "sync run does not pulse" 0 (Metrics.pulses m_sync);
-  check_bool "timed run pulses" true (Metrics.pulses m_async > 0)
+  check_int "sync messages" (Metrics.get m_sync Messages) (Metrics.get m_async Messages);
+  check_int "sync run does not pulse" 0 (Metrics.get m_sync Pulses);
+  check_bool "timed run pulses" true (Metrics.get m_async Pulses > 0)
 
 let test_engine_counts_words_and_delivered () =
   let sk = Generators.path 2 in
@@ -257,10 +288,10 @@ let test_engine_counts_words_and_delivered () =
        ~step:(fun ~round:_ ~node st _ ->
          if node = 0 && st then (false, [ (1, 9) ]) else (false, []))
        ~active:Fun.id ~metrics:m ~label:"t" ());
-  check_int "messages" 1 (Metrics.messages m);
-  check_int "words" 1 (Metrics.words m);
+  check_int "messages" 1 (Metrics.get m Messages);
+  check_int "words" 1 (Metrics.get m Words);
   (* reliable links: everything sent is delivered *)
-  check_int "delivered" 1 (Metrics.delivered m)
+  check_int "delivered" 1 (Metrics.get m Delivered)
 
 (* ------------------------------------------------------------------ *)
 (* Audit mode *)
@@ -328,7 +359,7 @@ let test_audit_catches_metrics_drift () =
          (E.run sk
             ~init:(fun v -> v = 0)
             ~step:(fun ~round:_ ~node st _ ->
-              if node = 0 && st then Metrics.add_messages m 5;
+              if node = 0 && st then Metrics.add_count m Messages 5;
               if node = 0 && st then (false, [ (1, 1) ]) else (false, []))
             ~active:Fun.id ~audit:true ~metrics:m ~label:"t" ());
        false
@@ -343,10 +374,10 @@ let test_audit_off_permits_drift () =
     (E.run sk
        ~init:(fun v -> v = 0)
        ~step:(fun ~round:_ ~node st _ ->
-         if node = 0 && st then Metrics.add_messages m 5;
+         if node = 0 && st then Metrics.add_count m Messages 5;
          if node = 0 && st then (false, [ (1, 1) ]) else (false, []))
        ~active:Fun.id ~audit:false ~metrics:m ~label:"t" ());
-  check_int "extra charge kept" 6 (Metrics.messages m)
+  check_int "extra charge kept" 6 (Metrics.get m Messages)
 
 let test_audit_clean_under_faults () =
   (* drops, duplicates, delays, crashes: the conservation invariants hold
@@ -362,7 +393,7 @@ let test_audit_clean_under_faults () =
   let t = Bfs_tree.build ~faults g ~root:0 ~metrics:m in
   check_bool "ran" true (t.Bfs_tree.dist.(0) = 0);
   check_int "conservation at rest" 0
-    (Metrics.messages m + Metrics.duplicated m - Metrics.delivered m - Metrics.dropped m)
+    (Metrics.get m Messages + Metrics.get m Duplicated - Metrics.get m Delivered - Metrics.get m Dropped)
 
 let prop_metrics_conservation =
   QCheck.Test.make
@@ -380,7 +411,7 @@ let prop_metrics_conservation =
       let m = Metrics.create () in
       ignore (Bfs_tree.build ~faults:(Fault.create ~seed:(seed + 17) profile) g ~root ~metrics:m);
       let raw_ok =
-        Metrics.messages m + Metrics.duplicated m = Metrics.delivered m + Metrics.dropped m
+        Metrics.get m Messages + Metrics.get m Duplicated = Metrics.get m Delivered + Metrics.get m Dropped
       in
       (* same law through the reliable transport *)
       let mr = Metrics.create () in
@@ -389,8 +420,8 @@ let prop_metrics_conservation =
            ~faults:(Fault.create ~seed:(seed + 23) profile)
            ~reliable:true g ~root ~metrics:mr);
       let reliable_ok =
-        Metrics.messages mr + Metrics.duplicated mr
-        = Metrics.delivered mr + Metrics.dropped mr
+        Metrics.get mr Messages + Metrics.get mr Duplicated
+        = Metrics.get mr Delivered + Metrics.get mr Dropped
       in
       raw_ok && reliable_ok)
 
@@ -417,7 +448,7 @@ let test_fault_run_is_deterministic () =
     let m = Metrics.create () in
     let faults = Fault.create ~seed:42 drops_profile in
     let t = Bfs_tree.build ~faults g ~root:0 ~metrics:m in
-    (t.Bfs_tree.dist, Metrics.dropped m, Metrics.duplicated m)
+    (t.Bfs_tree.dist, Metrics.get m Dropped, Metrics.get m Duplicated)
   in
   let d1, drops1, dups1 = run () in
   let d2, drops2, dups2 = run () in
@@ -438,7 +469,7 @@ let test_fault_raw_bfs_degrades () =
   Array.iteri
     (fun v d -> check_bool (Printf.sprintf "node %d not too close" v) true (d >= expected.(v)))
     t.Bfs_tree.dist;
-  check_bool "drops fired" true (Metrics.dropped m > 0)
+  check_bool "drops fired" true (Metrics.get m Dropped > 0)
 
 let test_fault_crash_stop_cannot_livelock () =
   let sk = Generators.path 2 in
@@ -466,7 +497,7 @@ let test_fault_crash_partitions_raw_bfs () =
   let t = Bfs_tree.build ~faults g ~root:0 ~metrics:m in
   check_int "before the crash" 2 t.Bfs_tree.dist.(2);
   check_int "behind the crash" Digraph.inf t.Bfs_tree.dist.(4);
-  check_bool "delivery to the dead node was dropped" true (Metrics.dropped m > 0)
+  check_bool "delivery to the dead node was dropped" true (Metrics.get m Dropped > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Reliable transport *)
@@ -476,8 +507,8 @@ let test_transport_no_faults_exact () =
   let m = Metrics.create () in
   let t = Bfs_tree.build ~reliable:true g ~root:0 ~metrics:m in
   Alcotest.(check (array int)) "distances" (Traversal.bfs_undirected g 0) t.Bfs_tree.dist;
-  check_int "no drops" 0 (Metrics.dropped m);
-  check_int "no retransmissions" 0 (Metrics.retransmissions m)
+  check_int "no drops" 0 (Metrics.get m Dropped);
+  check_int "no retransmissions" 0 (Metrics.get m Retransmissions)
 
 let test_transport_restores_bfs_under_drops () =
   let g = Generators.grid 6 6 in
@@ -486,8 +517,8 @@ let test_transport_restores_bfs_under_drops () =
   let t = Bfs_tree.build ~faults ~reliable:true g ~root:0 ~metrics:m in
   Alcotest.(check (array int)) "exact despite faults" (Traversal.bfs_undirected g 0)
     t.Bfs_tree.dist;
-  check_bool "faults actually fired" true (Metrics.dropped m > 0);
-  check_bool "transport retransmitted" true (Metrics.retransmissions m > 0)
+  check_bool "faults actually fired" true (Metrics.get m Dropped > 0);
+  check_bool "transport retransmitted" true (Metrics.get m Retransmissions > 0)
 
 let test_transport_restores_bellman_ford () =
   let g = Generators.bidirect ~seed:3 ~max_weight:9 (Generators.k_tree ~seed:2 30 3) in
@@ -495,7 +526,7 @@ let test_transport_restores_bellman_ford () =
   let faults = Fault.create ~seed:11 drops_profile in
   let d = Bellman_ford.run ~faults ~reliable:true g ~source:0 ~metrics:m in
   Alcotest.(check (array int)) "matches dijkstra" (Shortest_path.dijkstra g 0) d;
-  check_bool "retransmissions fired" true (Metrics.retransmissions m > 0)
+  check_bool "retransmissions fired" true (Metrics.get m Retransmissions > 0)
 
 let test_transport_restores_leader () =
   let g = Generators.k_tree ~seed:11 30 2 in
@@ -535,7 +566,7 @@ let test_transport_survives_crash_restart () =
   let t = Bfs_tree.build ~faults ~reliable:true g ~root:0 ~metrics:m in
   Alcotest.(check (array int)) "exact across the outage" (Traversal.bfs_undirected g 0)
     t.Bfs_tree.dist;
-  check_bool "outage forced retransmissions" true (Metrics.retransmissions m > 0)
+  check_bool "outage forced retransmissions" true (Metrics.get m Retransmissions > 0)
 
 let prop_transport_oracle_exact =
   QCheck.Test.make
@@ -571,29 +602,29 @@ module Recovery = Repro_congest.Recovery
 
 let test_metrics_recovery_counters () =
   let m = Metrics.create () in
-  check_int "fresh checkpoints" 0 (Metrics.checkpoints m);
-  check_int "fresh checkpoint words" 0 (Metrics.checkpoint_words m);
-  check_int "fresh recoveries" 0 (Metrics.recoveries m);
-  check_int "fresh resync rounds" 0 (Metrics.resync_rounds m);
-  Metrics.add_checkpoints m 3;
-  Metrics.add_checkpoint_words m 12;
-  Metrics.add_recoveries m 2;
-  Metrics.add_resync_rounds m 5;
-  Metrics.add_checkpoints m 1;
-  check_int "checkpoints" 4 (Metrics.checkpoints m);
-  check_int "checkpoint words" 12 (Metrics.checkpoint_words m);
-  check_int "recoveries" 2 (Metrics.recoveries m);
-  check_int "resync rounds" 5 (Metrics.resync_rounds m);
+  check_int "fresh checkpoints" 0 (Metrics.get m Checkpoints);
+  check_int "fresh checkpoint words" 0 (Metrics.get m Checkpoint_words);
+  check_int "fresh recoveries" 0 (Metrics.get m Recoveries);
+  check_int "fresh resync rounds" 0 (Metrics.get m Resync_rounds);
+  Metrics.add_count m Checkpoints 3;
+  Metrics.add_count m Checkpoint_words 12;
+  Metrics.add_count m Recoveries 2;
+  Metrics.add_count m Resync_rounds 5;
+  Metrics.add_count m Checkpoints 1;
+  check_int "checkpoints" 4 (Metrics.get m Checkpoints);
+  check_int "checkpoint words" 12 (Metrics.get m Checkpoint_words);
+  check_int "recoveries" 2 (Metrics.get m Recoveries);
+  check_int "resync rounds" 5 (Metrics.get m Resync_rounds);
   let b = Metrics.create () in
-  Metrics.add_checkpoints b 6;
-  Metrics.add_checkpoint_words b 8;
-  Metrics.add_recoveries b 1;
-  Metrics.add_resync_rounds b 7;
+  Metrics.add_count b Checkpoints 6;
+  Metrics.add_count b Checkpoint_words 8;
+  Metrics.add_count b Recoveries 1;
+  Metrics.add_count b Resync_rounds 7;
   Metrics.merge ~into:m b;
-  check_int "merged checkpoints" 10 (Metrics.checkpoints m);
-  check_int "merged checkpoint words" 20 (Metrics.checkpoint_words m);
-  check_int "merged recoveries" 3 (Metrics.recoveries m);
-  check_int "merged resync rounds" 12 (Metrics.resync_rounds m)
+  check_int "merged checkpoints" 10 (Metrics.get m Checkpoints);
+  check_int "merged checkpoint words" 20 (Metrics.get m Checkpoint_words);
+  check_int "merged recoveries" 3 (Metrics.get m Recoveries);
+  check_int "merged resync rounds" 12 (Metrics.get m Resync_rounds)
 
 let test_fault_amnesia_requires_restart () =
   check_bool "amnesia crash-stop rejected" true
@@ -685,9 +716,9 @@ let test_recovery_bfs_amnesia_exact () =
     Bfs_tree.build ~faults ~recovery:{ Recovery.checkpoint_every = 3 } g ~root:0 ~metrics:m
   in
   Alcotest.(check (array int)) "exact across the amnesia restart" expected t.Bfs_tree.dist;
-  check_int "one recovery served" 1 (Metrics.recoveries m);
-  check_bool "checkpoints written" true (Metrics.checkpoints m > 0);
-  check_bool "resync window accounted" true (Metrics.resync_rounds m > 0)
+  check_int "one recovery served" 1 (Metrics.get m Recoveries);
+  check_bool "checkpoints written" true (Metrics.get m Checkpoints > 0);
+  check_bool "resync window accounted" true (Metrics.get m Resync_rounds > 0)
 
 let test_recovery_without_checkpoints_still_exact () =
   (* checkpointing disabled: restore falls back to init and the
@@ -701,8 +732,8 @@ let test_recovery_without_checkpoints_still_exact () =
   in
   let t = Bfs_tree.build ~faults ~recovery:{ Recovery.checkpoint_every = 0 } g ~root:0 ~metrics:m in
   Alcotest.(check (array int)) "exact with resync only" expected t.Bfs_tree.dist;
-  check_int "no checkpoints" 0 (Metrics.checkpoints m);
-  check_int "two recoveries" 2 (Metrics.recoveries m)
+  check_int "no checkpoints" 0 (Metrics.get m Checkpoints);
+  check_int "two recoveries" 2 (Metrics.get m Recoveries)
 
 let test_recovery_root_crash () =
   (* the root itself loses its memory; its init (d = 0) regenerates the
@@ -729,7 +760,7 @@ let test_recovery_bellman_ford_amnesia () =
     Bellman_ford.run ~faults ~recovery:{ Recovery.checkpoint_every = 4 } g ~source:0 ~metrics:m
   in
   Alcotest.(check (array int)) "matches dijkstra" (Shortest_path.dijkstra g 0) d;
-  check_int "recoveries" 2 (Metrics.recoveries m)
+  check_int "recoveries" 2 (Metrics.get m Recoveries)
 
 let test_recovery_flood_amnesia () =
   let g = Generators.cycle 10 in
@@ -754,9 +785,9 @@ let test_recovery_crash_free_zero_round_overhead () =
   let t = Bfs_tree.build ~recovery:{ Recovery.checkpoint_every = 0 } g ~root:0 ~metrics:m in
   Alcotest.(check (array int)) "still exact" (Traversal.bfs_undirected g 0) t.Bfs_tree.dist;
   check_int "zero round overhead" plain (Metrics.rounds m);
-  check_int "no checkpoints" 0 (Metrics.checkpoints m);
-  check_int "no recoveries" 0 (Metrics.recoveries m);
-  check_int "no resync rounds" 0 (Metrics.resync_rounds m)
+  check_int "no checkpoints" 0 (Metrics.get m Checkpoints);
+  check_int "no recoveries" 0 (Metrics.get m Recoveries);
+  check_int "no resync rounds" 0 (Metrics.get m Resync_rounds)
 
 let test_transport_watermark_dedup_exact () =
   (* satellite regression for the delivered-seq watermark: a pipelined
@@ -770,7 +801,7 @@ let test_transport_watermark_dedup_exact () =
   let faults = Fault.create ~seed:31 (Fault.profile ~duplicate:0.6 ~max_delay:4 ()) in
   let got = Broadcast.stream_down ~faults ~reliable:true t ~items ~metrics:m in
   Array.iter (fun l -> Alcotest.(check (list int)) "items exactly once, in order" items l) got;
-  check_bool "duplicates actually fired" true (Metrics.duplicated m > 0)
+  check_bool "duplicates actually fired" true (Metrics.get m Duplicated > 0)
 
 let prop_recovery_amnesia_oracle_exact =
   QCheck.Test.make
@@ -836,9 +867,9 @@ let prop_fault_adversary_deterministic =
             ~recovery:{ Recovery.checkpoint_every = 3 } g ~root ~metrics:m
         in
         ( t.Bfs_tree.dist,
-          ( Metrics.rounds m, Metrics.messages m, Metrics.words m, Metrics.delivered m ),
-          ( Metrics.dropped m, Metrics.duplicated m, Metrics.retransmissions m,
-            Metrics.recoveries m ) )
+          ( Metrics.rounds m, Metrics.get m Messages, Metrics.get m Words, Metrics.get m Delivered ),
+          ( Metrics.get m Dropped, Metrics.get m Duplicated, Metrics.get m Retransmissions,
+            Metrics.get m Recoveries ) )
       in
       let d1, a1, b1 = observe (seed + 17) in
       let d2, a2, b2 = observe (seed + 17) in
@@ -851,7 +882,7 @@ let prop_fault_adversary_deterministic =
            ~faults:(Fault.create ~seed:(seed + 18) profile)
            ~recovery:{ Recovery.checkpoint_every = 3 } g ~root ~metrics:m3);
       let conserved =
-        Metrics.messages m3 + Metrics.duplicated m3 = Metrics.delivered m3 + Metrics.dropped m3
+        Metrics.get m3 Messages + Metrics.get m3 Duplicated = Metrics.get m3 Delivered + Metrics.get m3 Dropped
       in
       same && conserved)
 
@@ -1082,16 +1113,16 @@ let test_round_count_regression_guard () =
   let m = Metrics.create () in
   let t = Bfs_tree.build g ~root:0 ~metrics:m in
   check_int "bfs-tree rounds" 6 (Metrics.rounds m);
-  check_int "bfs-tree messages" 128 (Metrics.messages m);
+  check_int "bfs-tree messages" 128 (Metrics.get m Messages);
   check_int "bfs-tree depth" 4 t.Bfs_tree.depth;
   let m = Metrics.create () in
   let (_ : int array) = Bellman_ford.run gw ~source:0 ~metrics:m in
   check_int "bellman-ford rounds" 8 (Metrics.rounds m);
-  check_int "bellman-ford messages" 237 (Metrics.messages m);
+  check_int "bellman-ford messages" 237 (Metrics.get m Messages);
   let m = Metrics.create () in
   let (_ : int array) = Broadcast.flood g ~root:0 ~value:7 ~metrics:m in
   check_int "flood rounds" 6 (Metrics.rounds m);
-  check_int "flood messages" 128 (Metrics.messages m)
+  check_int "flood messages" 128 (Metrics.get m Messages)
 
 (* ------------------------------------------------------------------ *)
 (* Partitions, payload corruption, transport integrity, detection *)
@@ -1148,9 +1179,9 @@ let test_corruption_rejected_never_accepted () =
   let faults = Fault.create ~seed:2 (Fault.profile ~corrupt:0.25 ()) in
   let t = Bfs_tree.build ~faults ~reliable:true g ~root:0 ~metrics:m in
   check_bool "exact under corruption" true (t.Bfs_tree.dist = Traversal.bfs_undirected g 0);
-  check_bool "adversary actually corrupted" true (Metrics.corrupted m > 0);
-  check_int "every corrupted copy rejected" (Metrics.corrupted m) (Metrics.rejected m);
-  check_bool "repaired by retransmission" true (Metrics.retransmissions m > 0)
+  check_bool "adversary actually corrupted" true (Metrics.get m Corrupted > 0);
+  check_int "every corrupted copy rejected" (Metrics.get m Corrupted) (Metrics.get m Rejected);
+  check_bool "repaired by retransmission" true (Metrics.get m Retransmissions > 0)
 
 let retransmit_schedule ~jitter_seed ~fault_seed =
   let g = Generators.path 4 in
@@ -1207,7 +1238,7 @@ let test_retry_cap_declares_dead_link_and_terminates () =
       (Fault.profile ~partitions:[ Fault.partition ~from:0 (Fault.Around [ 4 ]) ] ())
   in
   let t, v = Bfs_tree.build_certified ~faults ~max_retries:4 g ~root:0 ~metrics:m in
-  check_bool "dead links declared" true (Metrics.link_failures m > 0);
+  check_bool "dead links declared" true (Metrics.get m Link_failures > 0);
   check_bool "terminates quickly at a small cap" true (Metrics.rounds m < 700);
   check_bool "centre unreached" true (t.Bfs_tree.dist.(4) >= Digraph.inf);
   match v with
@@ -1222,7 +1253,7 @@ let test_detector_complete_when_fault_free () =
   let t, v = Bfs_tree.build_certified g ~root:0 ~metrics:m in
   check_bool "exact" true (t.Bfs_tree.dist = Traversal.bfs_undirected g 0);
   check_bool "complete" true (v = Detector.Complete);
-  check_int "no suspicions" 0 (Metrics.suspicions m)
+  check_int "no suspicions" 0 (Metrics.get m Suspicions)
 
 let test_detector_latency_within_bound () =
   (* a link severed from round 0 must be suspected within timeout
@@ -1272,8 +1303,8 @@ let test_deadline_cuts_chronic_straggler () =
   in
   let m = Metrics.create () in
   let t, v = Bfs_tree.build_certified ~faults g ~root:0 ~metrics:m in
-  check_bool "ran on the virtual clock" true (Metrics.pulses m > 0);
-  check_bool "straggles charged" true (Metrics.straggles m > 0);
+  check_bool "ran on the virtual clock" true (Metrics.get m Pulses > 0);
+  check_bool "straggles charged" true (Metrics.get m Straggles > 0);
   let expected = Array.init (Digraph.n g) (fun v -> v <> 7) in
   (match v with
   | Detector.Complete -> Alcotest.fail "chronic straggler must yield Partial"
@@ -1380,10 +1411,10 @@ let prop_healed_partition_exact =
           ~root ~metrics:m
       in
       t.Bfs_tree.dist = Traversal.bfs_undirected g root
-      && Metrics.messages m + Metrics.duplicated m
-         = Metrics.delivered m + Metrics.dropped m
-      && Metrics.corrupted m = Metrics.rejected m
-      && Metrics.link_failures m = 0)
+      && Metrics.get m Messages + Metrics.get m Duplicated
+         = Metrics.get m Delivered + Metrics.get m Dropped
+      && Metrics.get m Corrupted = Metrics.get m Rejected
+      && Metrics.get m Link_failures = 0)
 
 
 let () =
@@ -1411,6 +1442,8 @@ let () =
           Alcotest.test_case "fault counters" `Quick test_metrics_fault_counters;
           Alcotest.test_case "merge fault counters" `Quick test_metrics_merge_fault_counters;
           Alcotest.test_case "recovery counters" `Quick test_metrics_recovery_counters;
+          Alcotest.test_case "counters json" `Quick test_metrics_counters_json;
+          Alcotest.test_case "pp" `Quick test_metrics_pp;
         ] );
       ( "engine",
         [

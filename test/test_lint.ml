@@ -182,11 +182,11 @@ let test_interproc_send_discipline () =
         ( "fx/algo.ml",
           "let run graph m =\n\
           \  let init _node = 0 in\n\
-          \  let step _node st inbox = Metrics.add_words m (List.length inbox); st in\n\
+          \  let step _node st inbox = Metrics.add_count m Words (List.length inbox); st in\n\
           \  My_engine.run graph ~init ~step ~active:(fun _ _ -> true)" );
       ]
   in
-  check_bool "send-discipline fires" true (has_finding "send-discipline" "Metrics.add_words" fs);
+  check_bool "send-discipline fires" true (has_finding "send-discipline" "Metrics.add_count" fs);
   let clean =
     interproc_findings
       [
@@ -207,12 +207,12 @@ let test_interproc_wrapped_metrics_path () =
         ( "fx/algo.ml",
           "let run graph m =\n\
           \  let init _node = 0 in\n\
-          \  let step _node st _inbox = Repro_congest.Metrics.add_messages m 1; st in\n\
+          \  let step _node st _inbox = Repro_congest.Metrics.add_count m Messages 1; st in\n\
           \  My_engine.run graph ~init ~step ~active:(fun _ _ -> true)" );
       ]
   in
   check_bool "wrapped path flagged" true
-    (has_finding "send-discipline" "Repro_congest.Metrics.add_messages" fs)
+    (has_finding "send-discipline" "Repro_congest.Metrics.add_count" fs)
 
 let test_interproc_alias_resolution () =
   (* a module alias must not launder the reference *)
@@ -684,22 +684,27 @@ let test_bandwidth_wrapper () =
 
 let test_bandwidth_charge_site () =
   (* the rule is scoped to lib/: per-message accounting lives there *)
-  let bad =
-    Bandwidth.findings_of_report
-      (bandwidth_report
-         [ ("lib/fx/charge.ml", "let run m snap = Metrics.add_words m (Array.length snap)") ])
+  let charge ?(attr = "") counter =
+    [
+      ( "lib/fx/charge.ml",
+        "let run m snap = Metrics.add_count m Metrics." ^ counter ^ " (Array.length snap)" ^ attr );
+    ]
   in
+  let bad = Bandwidth.findings_of_report (bandwidth_report (charge "Words")) in
   check_bool "unannotated charge flagged" true
     (has_finding "bandwidth-charge" "not annotated [@@charge_site]" bad);
-  let ok =
-    bandwidth_report
-      [
-        ( "lib/fx/charge.ml",
-          "let run m snap = Metrics.add_words m (Array.length snap) [@@charge_site]" );
-      ]
-  in
+  let ok = bandwidth_report (charge ~attr:" [@@charge_site]" "Words") in
   check_int "annotated charge clean" 0 (List.length ok.Bandwidth.b_findings);
-  check_int "site certified" 1 ok.Bandwidth.b_charge_sites
+  check_int "site certified" 1 ok.Bandwidth.b_charge_sites;
+  (* storage words are charged like message words; a message count is not a word charge *)
+  let ckpt = Bandwidth.findings_of_report (bandwidth_report (charge "Checkpoint_words")) in
+  check_bool "unannotated checkpoint charge flagged" true
+    (has_finding "bandwidth-charge" "not annotated [@@charge_site]" ckpt);
+  let count =
+    bandwidth_report [ ("lib/fx/charge.ml", "let run m = Metrics.add_count m Metrics.Messages 1") ]
+  in
+  check_int "message count not flagged" 0 (List.length count.Bandwidth.b_findings);
+  check_int "message count not a site" 0 count.Bandwidth.b_charge_sites
 
 let test_bandwidth_json_report () =
   let json =

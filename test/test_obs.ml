@@ -172,23 +172,23 @@ let count pred events = List.fold_left (fun n e -> if pred e then n + 1 else n) 
 let sum f events = List.fold_left (fun n e -> n + f e) 0 events
 
 let reconcile_with_metrics (m : Metrics.t) events =
-  check_int "Send events = messages" (Metrics.messages m)
+  check_int "Send events = messages" (Metrics.get m Messages)
     (count (function Event.Send _ -> true | _ -> false) events);
-  check_int "Send words = words" (Metrics.words m)
+  check_int "Send words = words" (Metrics.get m Words)
     (sum (function Event.Send { words; _ } -> words | _ -> 0) events);
-  check_int "Deliver events = delivered" (Metrics.delivered m)
+  check_int "Deliver events = delivered" (Metrics.get m Delivered)
     (count (function Event.Deliver _ -> true | _ -> false) events);
-  check_int "Drop events = dropped" (Metrics.dropped m)
+  check_int "Drop events = dropped" (Metrics.get m Dropped)
     (count (function Event.Drop _ -> true | _ -> false) events);
-  check_int "Duplicate extra copies = duplicated" (Metrics.duplicated m)
+  check_int "Duplicate extra copies = duplicated" (Metrics.get m Duplicated)
     (sum (function Event.Duplicate { copies; _ } -> copies - 1 | _ -> 0) events);
-  check_int "Retransmit events = retransmissions" (Metrics.retransmissions m)
+  check_int "Retransmit events = retransmissions" (Metrics.get m Retransmissions)
     (count (function Event.Retransmit _ -> true | _ -> false) events);
-  check_int "Corrupt events = corrupted" (Metrics.corrupted m)
+  check_int "Corrupt events = corrupted" (Metrics.get m Corrupted)
     (count (function Event.Corrupt _ -> true | _ -> false) events);
-  check_int "Checkpoint events = checkpoints" (Metrics.checkpoints m)
+  check_int "Checkpoint events = checkpoints" (Metrics.get m Checkpoints)
     (count (function Event.Checkpoint _ -> true | _ -> false) events);
-  check_int "Checkpoint words = checkpoint_words" (Metrics.checkpoint_words m)
+  check_int "Checkpoint words = checkpoint_words" (Metrics.get m Checkpoint_words)
     (sum (function Event.Checkpoint { words; _ } -> words | _ -> 0) events);
   check_int "Round_end events = rounds" (Metrics.rounds m)
     (count (function Event.Round_end _ -> true | _ -> false) events)
@@ -227,43 +227,7 @@ let prop_trace_reconciles_with_metrics =
    scripted adversary rebuilt from the trace alone, reproduces outputs
    and Metrics byte-for-byte. *)
 
-let scripted_of_trace events =
-  let r = Replay.of_events events in
-  let crashes =
-    List.map
-      (fun (w : Replay.crash_window) ->
-        Fault.crash w.node ~from:w.from_round ?until:w.until_round
-          ~mode:(if w.amnesia then Fault.Amnesia else Fault.Freeze))
-      (Replay.crashes r)
-  in
-  let partitions =
-    List.map
-      (fun (w : Replay.partition_window) ->
-        let cut =
-          match w.links with
-          | [] -> Fault.Around w.nodes
-          | links -> Fault.Links links
-        in
-        Fault.partition ~from:w.p_from_round ?heal:w.heal_round cut)
-      (Replay.partitions r)
-  in
-  let stragglers =
-    List.map
-      (fun (w : Replay.straggle_window) ->
-        Fault.straggle w.s_node ~from:w.s_from_round ?until:w.s_until_round
-          ~factor:w.s_factor)
-      (Replay.stragglers r)
-  in
-  let link_latency, skew, timing_seed =
-    match Replay.timing r with
-    | Some (t : Replay.timing) -> (t.link_latency, t.skew, Some t.timing_seed)
-    | None -> (0, 0, None)
-  in
-  Fault.scripted ~crashes ~partitions ~stragglers ~link_latency ~skew ?timing_seed
-    (fun ~run ~round ~src ~dst ->
-      List.map
-        (fun (extra, corrupt) -> { Fault.extra; corrupt })
-        (Replay.plan r ~run ~round ~src ~dst))
+let scripted_of_trace events = Fault.of_replay (Replay.of_events events)
 
 let prop_replay_determinism =
   QCheck.Test.make
@@ -353,19 +317,12 @@ let prop_async_exactness =
       in
       check_bool "bfs dist identical" true (dist_s = dist_a);
       check_bool "sssp identical" true (d_s = d_a);
+      check_int "rounds" (Metrics.rounds m_s) (Metrics.rounds m_a);
       List.iter
-        (fun (label, f) -> check_int label (f m_s) (f m_a))
-        [
-          ("rounds", Metrics.rounds);
-          ("messages", Metrics.messages);
-          ("words", Metrics.words);
-          ("delivered", Metrics.delivered);
-          ("dropped", Metrics.dropped);
-          ("duplicated", Metrics.duplicated);
-          ("corrupted", Metrics.corrupted);
-        ];
-      check_int "sync run pulses no virtual clock" 0 (Metrics.pulses m_s);
-      check_bool "async run pulsed" true (Metrics.pulses m_a > 0);
+        (fun c -> check_int (Metrics.name c) (Metrics.get m_s c) (Metrics.get m_a c))
+        Metrics.[ Messages; Words; Delivered; Dropped; Duplicated; Corrupted ];
+      check_int "sync run pulses no virtual clock" 0 (Metrics.get m_s Pulses);
+      check_bool "async run pulsed" true (Metrics.get m_a Pulses > 0);
       true)
 
 let prop_async_replay_determinism =

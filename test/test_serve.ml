@@ -332,9 +332,9 @@ let test_cache_lru () =
   check_int "evictions" 1 (Cache.evictions c);
   let m = Metrics.create () in
   Cache.flush c m;
-  check_int "metrics hits" 3 (Metrics.cache_hits m);
-  check_int "metrics misses" 2 (Metrics.cache_misses m);
-  check_int "metrics evictions" 1 (Metrics.cache_evictions m);
+  check_int "metrics hits" 3 (Metrics.get m Cache_hits);
+  check_int "metrics misses" 2 (Metrics.get m Cache_misses);
+  check_int "metrics evictions" 1 (Metrics.get m Cache_evictions);
   check_int "counters reset" 0 (Cache.hits c)
 
 let test_cache_update_refreshes () =

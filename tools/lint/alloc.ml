@@ -2,7 +2,7 @@
    EObs [Gc.minor_words = 0] guarantee.
 
    Functions annotated [@@hot] (the engine round loop, the transport
-   fast path, the metrics setters, the guarded trace-emit spine)
+   fast path, the metrics setter [add_count], the guarded trace-emit spine)
    promise not to allocate on the minor heap. The EObs benchmark checks
    this dynamically for one configuration; this pass checks it
    statically for every configuration, with per-site provenance:
@@ -386,7 +386,7 @@ let findings_of_reports (reports : hot_report list) : Lint_core.finding list =
 let findings (cg : Cg.t) = findings_of_reports (analyze cg)
 
 let to_json (reports : hot_report list) =
-  let json_escape = Effects.json_escape in
+  let json_escape = Lint_core.json_escape in
   let buf = Buffer.create 8192 in
   Buffer.add_string buf "{\n  \"schema\": \"repro-lint/alloc/1\",\n";
   let total = List.fold_left (fun acc r -> acc + List.length r.h_sites) 0 reports in

@@ -20,8 +20,8 @@
      transport/recovery/detector wrappers must add only O(1) header
      words to a single payload.
 
-   - Charging-site certification. Every binding that calls
-     [Metrics.add_words] / [add_checkpoint_words] must carry
+   - Charging-site certification. Every binding that applies
+     [Metrics.add_count] to [Words] / [Checkpoint_words] must carry
      [[@@charge_site]] (the audited accounting entry points), and the
      measure it charges must be derived from the same [words] measure
      the verdicts bound: a local accumulator only ever reset to a
@@ -389,15 +389,15 @@ let verdict_of (c : candidate) : verdict * Lint_core.finding list =
 (* ------------------------------------------------------------------ *)
 (* Charging-site certification *)
 
-let charge_target (e : P.expression) =
-  match e.P.pexp_desc with
-  | P.Pexp_ident { txt; _ } -> (
-      match List.rev (lid_flat txt) with
-      | ("add_words" | "add_checkpoint_words") :: rest -> (
-          match (rest : string list) with
-          | "Metrics" :: _ | [] -> (
-              match List.rev (lid_flat txt) with f :: _ -> Some f | [] -> None)
-          | _ -> None)
+(* [add_count m Words k] / [add_count m Checkpoint_words k], bare or
+   [Metrics.]-qualified: the counter and the measure [k] it charges *)
+let charge_target (head : P.expression) args =
+  match (head.P.pexp_desc, List.filter (fun (l, _) -> l = Asttypes.Nolabel) args) with
+  | ( P.Pexp_ident { txt; _ },
+      _ :: (_, { P.pexp_desc = P.Pexp_construct ({ txt = c; _ }, None); _ }) :: measure ) -> (
+      match (List.rev (lid_flat txt), List.rev (lid_flat c)) with
+      | "add_count" :: ("Metrics" :: _ | []), (("Words" | "Checkpoint_words") as k) :: _ ->
+          Some ("add_count " ^ k, match measure with (_, m) :: _ -> Some m | [] -> None)
       | _ -> None)
   | _ -> None
 
@@ -414,15 +414,8 @@ let collect_binding (body : P.expression) =
         (fun it e ->
           (match e.P.pexp_desc with
           | P.Pexp_apply (head, args) -> (
-              match charge_target head with
-              | Some fn ->
-                  let measure =
-                    match
-                      List.filter (fun (l, _) -> l = Asttypes.Nolabel) args |> List.rev
-                    with
-                    | (_, m) :: _ -> Some m
-                    | [] -> None
-                  in
+              match charge_target head args with
+              | Some (fn, measure) ->
                   let pos = e.P.pexp_loc.Location.loc_start in
                   apps :=
                     {
@@ -594,7 +587,7 @@ let findings_of_report r = r.b_findings
 let findings cg parsed = findings_of_report (analyze cg parsed)
 
 let to_json (r : report) =
-  let esc = Effects.json_escape in
+  let esc = Lint_core.json_escape in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"schema\": \"repro-lint/bandwidth/1\",\n";
   Buffer.add_string buf

@@ -1,6 +1,6 @@
 (** Bandwidth-soundness pass (DESIGN.md §3i): static message-size
     verdicts for every message module, plus certification of the
-    [Metrics.add_words] / [add_checkpoint_words] charging sites.
+    [Metrics.add_count] charging sites of [Words] / [Checkpoint_words].
 
     A message module is any submodule or anonymous functor-argument
     structure declaring both [type t] and [let words]. Its content gets

@@ -47,8 +47,8 @@ type binding = {
           concurrently (engine round loop, transport fast path) *)
   is_charge_site : bool;
       (** carries [@@charge_site]: an audited entry point of the message/
-          storage accounting path, allowed to call [Metrics.add_words] /
-          [add_checkpoint_words] (certified by the bandwidth pass) *)
+          storage accounting path, allowed to charge [Metrics.add_count]
+          [Words] / [Checkpoint_words] (certified by the bandwidth pass) *)
   calls : sym list;  (** resolved in-repo references, sorted, deduplicated *)
   externals : string list;
       (** unresolved qualified references (dotted), plus effectful bare

@@ -276,7 +276,7 @@ let report (cg : Cg.t) : report =
   in
   { state = classify cg; shards }
 
-let json_escape = Effects.json_escape
+let json_escape = Lint_core.json_escape
 
 let to_json (cg : Cg.t) (r : report) =
   let buf = Buffer.create 16384 in

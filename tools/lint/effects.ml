@@ -110,17 +110,7 @@ let find (t : t) s = Hashtbl.find_opt t s
 (* ------------------------------------------------------------------ *)
 (* JSON report *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Lint_core.json_escape
 
 let sym_id (s : Cg.sym) = s.Cg.s_file ^ "#" ^ s.Cg.s_path
 

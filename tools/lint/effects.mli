@@ -23,10 +23,8 @@ val find : t -> Callgraph.sym -> summary option
     ["<file>#<dotted path>"]. *)
 val sym_id : Callgraph.sym -> string
 
-(** JSON-writing helpers shared by the [domains.json]/[alloc.json]
-    emitters. *)
-val json_escape : string -> string
-
+(** JSON-writing helper shared with the [domains.json] emitter: [l] as
+    a JSON array of escaped strings. *)
 val json_string_list : string list -> string
 
 (** The machine-readable effect report

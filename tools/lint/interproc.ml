@@ -37,7 +37,7 @@ let is_metrics_charge (s : Cg.sym) =
   in
   base = "add" || (String.length base > 4 && String.sub base 0 4 = "add_")
 
-(* does an unresolved external path denote one, e.g. "Metrics.add_words"
+(* does an unresolved external path denote one, e.g. "Metrics.add_count"
    or "Repro_congest.Metrics.add"? *)
 let is_metrics_external path =
   let rec scan = function

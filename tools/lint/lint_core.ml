@@ -67,7 +67,7 @@ let rules =
       "a message module's `words` may undercharge its statically bounded content: every \
        accepted word must be accounted for the CONGEST O(log n)-bit budget to mean anything" );
     ( "bandwidth-charge",
-      "a Metrics.add_words / add_checkpoint_words caller is not an audited [@@charge_site] \
+      "a Metrics.add_count Words / Checkpoint_words caller is not an audited [@@charge_site] \
        or charges a measure not derived from M.words / Array.length" );
   ]
 

@@ -79,5 +79,9 @@ val apply_baseline : baseline_entry list -> finding list -> baseline_outcome
     [lint --update-baseline]. *)
 val render_baseline : old:baseline_entry list -> finding list -> string
 
+(** [json_escape s] escapes [s] for use inside a JSON string literal;
+    shared by every JSON report the lint writes. *)
+val json_escape : string -> string
+
 val pp_finding_text : Format.formatter -> finding -> unit
 val pp_finding_json : Format.formatter -> finding -> unit

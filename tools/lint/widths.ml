@@ -1709,7 +1709,7 @@ let pairs r =
   List.map (fun p -> (Cg.display p.p_writer, Cg.display p.p_reader, p.p_symmetric)) r.w_pairs
 
 let to_json (r : report) =
-  let json_escape = Effects.json_escape in
+  let json_escape = Lint_core.json_escape in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"schema\": \"repro-lint/widths/1\",\n";
   Buffer.add_string buf
