@@ -16,6 +16,7 @@ let set t ~anchor ~d_to ~d_from =
 
 let dist_to t anchor = Option.map fst (Hashtbl.find_opt t.entries anchor)
 let dist_from t anchor = Option.map snd (Hashtbl.find_opt t.entries anchor)
+let find t anchor = Hashtbl.find t.entries anchor
 
 let anchors t =
   List.sort compare (Hashtbl.fold (fun a _ acc -> a :: acc) t.entries [])

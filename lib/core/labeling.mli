@@ -29,6 +29,11 @@ val dist_to : t -> int -> int option
 
 val dist_from : t -> int -> int option
 
+(** [find label anchor] is the stored [(d_to, d_from)] pair, without
+    allocating (the codec's writer reads every entry twice).
+    @raise Not_found if [anchor] is absent. *)
+val find : t -> int -> int * int
+
 (** [anchors label] lists the anchor vertices, sorted. *)
 val anchors : t -> int list
 

@@ -6,163 +6,159 @@ let inf = Digraph.inf
 (* Width of the field that stores another field's width. *)
 let width_bits = 6
 
-let write_anchors w anchors =
-  let k = Array.length anchors in
-  Bitio.put_varint w k;
+(* Each record layout is one function over a coder, so the writer and
+   the reader cannot disagree on field order or widths. On a writer a
+   field is put and its value returned; on a reader the value passed
+   in is ignored and the stored one returned. *)
+type coder = Enc of Bitio.writer | Dec of Bitio.reader
+
+let field c ~bits v =
+  match c with
+  | Enc w ->
+      Bitio.put w ~bits v;
+      v
+  | Dec r -> Bitio.get r ~bits
+
+let varint c v =
+  match c with
+  | Enc w ->
+      Bitio.put_varint w v;
+      v
+  | Dec r -> Bitio.get_varint r
+
+let flag c b = field c ~bits:1 (if b then 1 else 0) = 1
+
+(* A width header: the smallest width holding [m] on the writer, the
+   stored width on the reader. The one guard keeps both directions
+   inside [Bitio]'s 30-bit field contract; a stored width can reach
+   63, so on the reader this is the corrupt-field check. *)
+let width c what m =
+  let bits = field c ~bits:width_bits (match c with Enc _ -> Bitio.bits_needed m | Dec _ -> 0) in
+  if bits > 30 then invalid_arg (Printf.sprintf "Codec: %s width %d exceeds 30 bits" what bits);
+  bits
+
+(* Anchor block: count, first anchor as a varint, then each gap minus
+   one at a single per-block width. On the writer [a] is [anchors], and
+   each assignment stores the value already there. *)
+let anchor_block c anchors =
+  let k = varint c (Array.length anchors) in
+  let a =
+    match c with
+    | Enc _ -> anchors
+    | Dec r ->
+        (* every gap takes at least one bit: bound the count by the
+           stream before allocating from it *)
+        if k - 1 > Bitio.bits_left r then raise Bitio.Truncated;
+        Array.make k 0
+  in
   if k > 0 then begin
-    Bitio.put_varint w anchors.(0);
+    a.(0) <- varint c a.(0);
     if k > 1 then begin
       let max_gap = ref 1 in
+      (match c with
+      | Enc _ ->
+          for i = 1 to k - 1 do
+            let g = a.(i) - a.(i - 1) in
+            if g <= 0 then invalid_arg "Codec.write_anchors: not strictly increasing";
+            if g > !max_gap then max_gap := g
+          done
+      | Dec _ -> ());
+      let wa = width c "gap" (!max_gap - 1) in
       for i = 1 to k - 1 do
-        let g = anchors.(i) - anchors.(i - 1) in
-        if g <= 0 then invalid_arg "Codec.write_anchors: not strictly increasing";
-        if g > !max_gap then max_gap := g
-      done;
-      let wa = Bitio.bits_needed (!max_gap - 1) in
-      if wa > 30 then invalid_arg "Codec.write_anchors: gap width exceeds 30 bits";
-      Bitio.put w ~bits:width_bits wa;
-      for i = 1 to k - 1 do
-        Bitio.put w ~bits:wa (anchors.(i) - anchors.(i - 1) - 1)
+        a.(i) <- a.(i - 1) + 1 + field c ~bits:wa (a.(i) - a.(i - 1) - 1)
       done
     end
-  end
+  end;
+  a
 
-let read_anchors r =
-  let k = Bitio.get_varint r in
-  if k = 0 then [||]
-  else begin
-    let out = Array.make k 0 in
-    out.(0) <- Bitio.get_varint r;
-    if k > 1 then begin
-      let wa = Bitio.get r ~bits:width_bits in
-      if wa > 30 then invalid_arg "Codec.read_anchors: corrupt width field";
-      for i = 1 to k - 1 do
-        out.(i) <- out.(i - 1) + 1 + Bitio.get r ~bits:wa
-      done
-    end;
-    out
-  end
+let write_anchors w anchors = ignore (anchor_block (Enc w) anchors)
+let read_anchors r = anchor_block (Dec r) [||]
 
 let encode_anchors anchors =
   let w = Bitio.writer () in
   write_anchors w anchors;
   Bitio.contents w
 
-let decode_anchors s = read_anchors (Bitio.reader s)
-
 let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
 let unzigzag z = if z land 1 = 0 then z lsr 1 else -((z + 1) lsr 1)
 
-(* Any distance at or past [inf] means unreachable; the decoder
-   restores exactly [Digraph.inf]. *)
-let clamp d = if d >= inf then inf else d
+let distances la a =
+  try Labeling.find la a
+  with Not_found -> invalid_arg "Codec.write_body: anchor absent from label"
 
-let field_width what m =
-  let w = Bitio.bits_needed (m + 1) in
-  if w > 30 then invalid_arg (Printf.sprintf "Codec.write_body: %s field needs %d bits" what w);
-  w
+(* [d_from] against a finite [d_to] is stored as a zigzagged delta *)
+let residual d_to d_from =
+  if d_from >= inf then inf else if d_to < inf then zigzag (d_from - d_to) else d_from
 
-let write_body ?owner_hint w ~anchors la =
-  (match owner_hint with
-  | Some h when Labeling.owner la = h -> Bitio.put w ~bits:1 1
-  | _ ->
-      Bitio.put w ~bits:1 0;
-      Bitio.put_varint w (Labeling.owner la));
-  let k = Array.length anchors in
-  if k > 0 then begin
-    let f1 = Array.make k (-1) and f2 = Array.make k (-1) in
-    let max1 = ref 0 and max2 = ref 0 and sym = ref true in
-    for i = 0 to k - 1 do
-      let a = anchors.(i) in
-      let d_to =
-        match Labeling.dist_to la a with
-        | Some d -> clamp d
-        | None -> invalid_arg "Codec.write_body: anchor absent from label"
-      in
-      let d_from = match Labeling.dist_from la a with Some d -> clamp d | None -> inf in
-      if d_from <> d_to then sym := false;
-      if d_to < inf then begin
-        f1.(i) <- d_to;
-        if d_to > !max1 then max1 := d_to
-      end;
-      if d_from < inf then begin
-        let v2 = if d_to < inf then zigzag (d_from - d_to) else d_from in
-        f2.(i) <- v2;
-        if v2 > !max2 then max2 := v2
-      end
-    done;
-    let w1 = field_width "d_to" !max1 in
-    let s1 = (1 lsl w1) - 1 in
-    Bitio.put w ~bits:width_bits w1;
-    Bitio.put w ~bits:1 (if !sym then 1 else 0);
-    if !sym then
-      for i = 0 to k - 1 do
-        Bitio.put w ~bits:w1 (if f1.(i) < 0 then s1 else f1.(i))
-      done
-    else begin
-      let w2 = field_width "residual" !max2 in
-      let s2 = (1 lsl w2) - 1 in
-      Bitio.put w ~bits:width_bits w2;
-      for i = 0 to k - 1 do
-        Bitio.put w ~bits:w1 (if f1.(i) < 0 then s1 else f1.(i));
-        Bitio.put w ~bits:w2 (if f2.(i) < 0 then s2 else f2.(i))
-      done
-    end
-  end
+(* A [bits]-wide column entry whose all-ones value stands for [inf]
+   (any distance at or past [inf] means unreachable, and the reader
+   restores exactly [Digraph.inf]); the writer's widths leave room for
+   it above the column maximum. *)
+let column c ~bits v =
+  let s = (1 lsl bits) - 1 in
+  let x = field c ~bits (if v >= inf then s else v) in
+  if x = s then inf else x
 
-let read_body ?owner_hint r ~anchors =
+(* Distance body: the owner (one bit when it equals [owner_hint]), then
+   a [d_to] width, a symmetry bit, a residual width unless symmetric,
+   and per anchor a [d_to] entry and, unless symmetric, a residual
+   entry. [src] is the label to write, [None] on the reader; the label
+   written or decoded is returned. *)
+let body c ?owner_hint ~anchors src =
+  let own = match src with Some la -> Labeling.owner la | None -> 0 in
   let owner =
-    if Bitio.get r ~bits:1 = 1 then
+    if flag c (match owner_hint with Some h -> h = own | None -> false) then
       match owner_hint with
       | Some h -> h
       | None -> invalid_arg "Codec.read_body: owner-hint bit set but no hint supplied"
-    else Bitio.get_varint r
+    else varint c own
   in
-  let la = Labeling.create owner in
+  let la = match src with Some la -> la | None -> Labeling.create owner in
   let k = Array.length anchors in
   if k > 0 then begin
-    let w1 = Bitio.get r ~bits:width_bits in
-    if w1 > 30 then invalid_arg "Codec.read_body: corrupt width field";
-    let s1 = (1 lsl w1) - 1 in
-    if Bitio.get r ~bits:1 = 1 then
-      for i = 0 to k - 1 do
-        let v1 = Bitio.get r ~bits:w1 in
-        let d = if v1 = s1 then inf else v1 in
-        Labeling.set la ~anchor:anchors.(i) ~d_to:d ~d_from:d
-      done
-    else begin
-      let w2 = Bitio.get r ~bits:width_bits in
-      if w2 > 30 then invalid_arg "Codec.read_body: corrupt width field";
-      let s2 = (1 lsl w2) - 1 in
-      for i = 0 to k - 1 do
-        let v1 = Bitio.get r ~bits:w1 in
-        let v2 = Bitio.get r ~bits:w2 in
-        let d_to = if v1 = s1 then inf else v1 in
-        let d_from =
-          if v2 = s2 then inf else if d_to < inf then d_to + unzigzag v2 else v2
-        in
-        Labeling.set la ~anchor:anchors.(i) ~d_to ~d_from
-      done
-    end
+    let max_to = ref 0 and max_res = ref 0 and sym = ref true in
+    (match c with
+    | Enc _ ->
+        for i = 0 to k - 1 do
+          let d_to, d_from = distances la anchors.(i) in
+          if min d_from inf <> min d_to inf then sym := false;
+          if d_to < inf && d_to > !max_to then max_to := d_to;
+          let r = residual d_to d_from in
+          if r < inf && r > !max_res then max_res := r
+        done
+    | Dec _ -> ());
+    let w1 = width c "d_to" (!max_to + 1) in
+    let sym = flag c !sym in
+    let w2 = if sym then 0 else width c "residual" (!max_res + 1) in
+    for i = 0 to k - 1 do
+      let d_to, d_from = match c with Enc _ -> distances la anchors.(i) | Dec _ -> (0, 0) in
+      let d_to = column c ~bits:w1 d_to in
+      let d_from =
+        if sym then d_to
+        else
+          let r = column c ~bits:w2 (residual d_to d_from) in
+          if r >= inf then inf else if d_to < inf then d_to + unzigzag r else r
+      in
+      match c with Dec _ -> Labeling.set la ~anchor:anchors.(i) ~d_to ~d_from | Enc _ -> ()
+    done
   end;
   la
 
-let write w la =
-  let anchors = Array.of_list (Labeling.anchors la) in
-  write_anchors w anchors;
-  write_body w ~anchors la
+let write_body ?owner_hint w ~anchors la = ignore (body (Enc w) ?owner_hint ~anchors (Some la))
+let read_body ?owner_hint r ~anchors = body (Dec r) ?owner_hint ~anchors None
 
-let encode la =
+(* Whole label: its anchor block, then its body. *)
+let label c src =
+  let anchors =
+    anchor_block c (match src with Some la -> Array.of_list (Labeling.anchors la) | None -> [||])
+  in
+  body c ~anchors src
+
+let written result la =
   let w = Bitio.writer () in
-  write w la;
-  Bitio.contents w
+  ignore (label (Enc w) (Some la));
+  result w
 
-let decode s =
-  let r = Bitio.reader s in
-  let anchors = read_anchors r in
-  read_body r ~anchors
-
-let encoded_bits la =
-  let w = Bitio.writer () in
-  write w la;
-  Bitio.bit_length w
+let encode = written Bitio.contents
+let encoded_bits = written Bitio.bit_length
+let decode s = label (Dec (Bitio.reader s)) None

@@ -10,7 +10,13 @@
 
     The anchor block and the distance body are separable on purpose:
     sibling vertices share their B^up anchor sets, so the store pools
-    anchor blocks and each record keeps only a pool id plus its body. *)
+    anchor blocks and each record keeps only a pool id plus its body.
+
+    Each layout is written once, as one function that runs in both
+    directions over a writer or a reader, so the two cannot disagree on
+    field order or widths. Every width header passes one guard on both
+    sides: a width above 30 bits raises [Invalid_argument] (the writer
+    cannot encode the value; the reader found a corrupt field). *)
 
 (** {1 Anchor blocks} *)
 
@@ -18,13 +24,15 @@
     @raise Invalid_argument if not strictly increasing. *)
 val write_anchors : Bitio.writer -> int array -> unit
 
+(** @raise Bitio.Truncated if the stream ends early, or is too short
+    for the block's anchor count (checked before the count sizes an
+    array).
+    @raise Invalid_argument on a corrupt width or count field. *)
 val read_anchors : Bitio.reader -> int array
 
 (** [encode_anchors anchors] is a standalone byte string — also the
     store's pool-dedup key. *)
 val encode_anchors : int array -> string
-
-val decode_anchors : string -> int array
 
 (** {1 Distance bodies} *)
 
@@ -41,6 +49,10 @@ val decode_anchors : string -> int array
 val write_body :
   ?owner_hint:int -> Bitio.writer -> anchors:int array -> Repro_core.Labeling.t -> unit
 
+(** [read_body r ~anchors] decodes straight into a fresh label.
+    @raise Bitio.Truncated if the stream ends early.
+    @raise Invalid_argument on a corrupt width field, or an owner-hint
+    bit with no [owner_hint]. *)
 val read_body :
   ?owner_hint:int -> Bitio.reader -> anchors:int array -> Repro_core.Labeling.t
 
@@ -51,7 +63,8 @@ val read_body :
     every distance is either finite or exactly [Digraph.inf]. *)
 val encode : Repro_core.Labeling.t -> string
 
-(** @raise Bitio.Truncated on a cut-short stream. *)
+(** @raise Bitio.Truncated on a cut-short stream.
+    @raise Invalid_argument on a corrupt width field. *)
 val decode : string -> Repro_core.Labeling.t
 
 (** [encoded_bits la] is the exact bit length of [encode la] before

@@ -19,12 +19,20 @@ let () =
 let err e = raise (Error e)
 let fmt_err f = Printf.ksprintf (fun m -> err (Format_error m)) f
 
-let magic = "RSRVLB01"
+let magic = "RSRVLB02"
+
+(* Bytes of the file header: magic, flags, n, q_size, start. *)
+let header_len = String.length magic + 16
 
 (* Structural checksum, the transport-integrity idiom: [Hashtbl.hash]
    mixes every byte of a string (strings hash in full, unlike nested
-   structures which are cut off at the meaningful-word limit). *)
-let crc s = Hashtbl.hash s
+   structures which are cut off at the meaningful-word limit). [seed]
+   chains checksums, so one value covers several byte ranges. *)
+let crc ?(seed = 0) s = Hashtbl.seeded_hash seed s
+
+(* A section's checksum covers the file header, the section's count,
+   shard_size, npools and pool_len fields, and its anchor pool. *)
+let section_crc ~header ~fields pool = crc ~seed:(crc ~seed:(crc header) fields) pool
 
 let u32 buf v =
   if v < 0 || v > 0xFFFFFFFF then invalid_arg "Store: u32 field overflow";
@@ -33,7 +41,7 @@ let u32 buf v =
 (* ------------------------------------------------------------------ *)
 (* Writing *)
 
-let add_section buf ~shard_size labels =
+let add_section buf ~header ~shard_size labels =
   let count = Array.length labels in
   let anchors_of =
     Array.map (fun la -> Array.of_list (Labeling.anchors la)) labels
@@ -73,11 +81,11 @@ let add_section buf ~shard_size labels =
         done;
         Bitio.contents w)
   in
-  u32 buf count;
-  u32 buf shard_size;
-  u32 buf !npools;
-  u32 buf (String.length pool_data);
-  u32 buf (crc pool_data);
+  let fields = Buffer.create 16 in
+  List.iter (u32 fields) [ count; shard_size; !npools; String.length pool_data ];
+  let fields = Buffer.contents fields in
+  Buffer.add_string buf fields;
+  u32 buf (section_crc ~header ~fields pool_data);
   Buffer.add_string buf pool_data;
   let off = ref 0 in
   Array.iter
@@ -104,9 +112,10 @@ let save ?(shard_size = 64) ?cdl path dist =
   u32 buf (Array.length dist);
   u32 buf (match cdl with Some (q, _, _) -> q | None -> 0);
   u32 buf (match cdl with Some (_, s, _) -> s | None -> 0);
-  add_section buf ~shard_size dist;
+  let header = Buffer.contents buf in
+  add_section buf ~header ~shard_size dist;
   (match cdl with
-  | Some (_, _, labels) -> add_section buf ~shard_size labels
+  | Some (_, _, labels) -> add_section buf ~header ~shard_size labels
   | None -> ());
   let oc = open_out_bin path in
   Fun.protect
@@ -120,9 +129,7 @@ type section = {
   count : int;
   shard_size : int;
   npools : int;
-  pool_pos : int;  (* raw pool bitstream, decoded once on first use *)
-  pool_len : int;
-  pool_crc : int;
+  pool : string;  (* raw pool bitstream, verified at open, decoded once on first use *)
   shard_off : int array;  (* nshards + 1 offsets, relative to rec_base *)
   shard_crc : int array;
   rec_base : int;
@@ -144,45 +151,44 @@ let ru32 data pos =
     fmt_err "truncated: u32 at byte %d past end (%d bytes)" pos (String.length data);
   Int32.to_int (String.get_int32_le data pos) land 0xFFFFFFFF
 
-let read_section data pos0 =
-  let pos = ref pos0 in
-  let next () =
-    let v = ru32 data !pos in
-    pos := !pos + 4;
-    v
-  in
-  let count = next () in
-  let shard_size = next () in
+(* Reads a section's directory. Its checksum is verified before any
+   field sizes an allocation, and each count is still bounded by the
+   bytes that must back it, so a damaged or forged field raises
+   [Error] instead of allocating from it. *)
+let read_section data ~header ~index pos0 =
+  let field i = ru32 data (pos0 + (4 * i)) in
+  let count = field 0 and shard_size = field 1 and npools = field 2 and pool_len = field 3 in
+  let pool_pos = pos0 + 20 in
+  if pool_len > String.length data - pool_pos then
+    fmt_err "section at %d: pool runs past end of file" pos0;
+  let pool = String.sub data pool_pos pool_len in
+  if section_crc ~header ~fields:(String.sub data pos0 16) pool <> field 4 then
+    err (Checksum_mismatch { what = "section"; index });
   if shard_size <= 0 then fmt_err "section at %d: shard_size %d" pos0 shard_size;
-  let npools = next () in
-  let pool_len = next () in
-  let pool_crc = next () in
-  let pool_pos = !pos in
-  pos := !pos + pool_len;
+  (* every anchor block takes at least one byte *)
+  if npools > pool_len then fmt_err "section at %d: %d pools in %d bytes" pos0 npools pool_len;
   let nshards = (count + shard_size - 1) / shard_size in
-  let shard_off = Array.make (nshards + 1) 0 in
-  for s = 0 to nshards do
-    shard_off.(s) <- next ()
-  done;
-  let shard_crc = Array.init nshards (fun _ -> next ()) in
-  let rec_base = !pos in
-  pos := !pos + shard_off.(nshards);
-  if !pos > String.length data then
+  (* the directory: nshards + 1 offsets, then nshards checksums *)
+  let dir = pool_pos + pool_len in
+  let rec_base = dir + (4 * ((2 * nshards) + 1)) in
+  if rec_base > String.length data then
+    fmt_err "section at %d: shard directory runs past end of file" pos0;
+  let shard_off = Array.init (nshards + 1) (fun s -> ru32 data (dir + (4 * s))) in
+  let shard_crc = Array.init nshards (fun s -> ru32 data (dir + (4 * (nshards + 1 + s)))) in
+  if shard_off.(nshards) > String.length data - rec_base then
     fmt_err "section at %d: records run past end of file" pos0;
   ( {
       count;
       shard_size;
       npools;
-      pool_pos;
-      pool_len;
-      pool_crc;
+      pool;
       shard_off;
       shard_crc;
       rec_base;
       pools = None;
       shards = Array.make nshards None;
     },
-    !pos )
+    rec_base + shard_off.(nshards) )
 
 let open_ path =
   let ic = open_in_bin path in
@@ -192,22 +198,23 @@ let open_ path =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   let ml = String.length magic in
-  if String.length data < ml + 16 then fmt_err "file too short for header";
+  if String.length data < header_len then fmt_err "file too short for header";
   if not (String.equal (String.sub data 0 ml) magic) then
     fmt_err "bad magic (not a label store, or an unsupported version)";
+  let header = String.sub data 0 header_len in
   let flags = ru32 data ml in
   let s_n = ru32 data (ml + 4) in
   let s_q = ru32 data (ml + 8) in
   let s_start = ru32 data (ml + 12) in
   let has_cdl = flags land 1 <> 0 in
-  let dist, pos = read_section data (ml + 16) in
+  let dist, pos = read_section data ~header ~index:0 header_len in
   if dist.count <> s_n then
     fmt_err "distance section has %d records, header says n=%d" dist.count s_n;
   let cdl =
     if not has_cdl then None
     else begin
-      let sec, pos' = read_section data pos in
-      if pos' > String.length data then fmt_err "cdl section runs past end of file";
+      let sec, _ = read_section data ~header ~index:1 pos in
+      if s_start >= s_q then fmt_err "start state %d out of range [0,%d)" s_start s_q;
       if sec.count <> s_n * s_q then
         fmt_err "cdl section has %d records, expected n*q_size=%d" sec.count (s_n * s_q);
       Some sec
@@ -223,19 +230,12 @@ let cdl_count t = match t.cdl with Some s -> s.count | None -> 0
 let byte_size t = String.length t.data
 let pool_count t = t.dist.npools
 
-let pools t sec =
+let pools sec =
   match sec.pools with
   | Some p -> p
   | None ->
-      if sec.pool_pos + sec.pool_len > String.length t.data then
-        fmt_err "pool data runs past end of file";
-      let s = String.sub t.data sec.pool_pos sec.pool_len in
-      if crc s <> sec.pool_crc then err (Checksum_mismatch { what = "pool"; index = 0 });
-      let r = Bitio.reader s in
-      let p =
-        try Array.init sec.npools (fun _ -> Codec.read_anchors r)
-        with Bitio.Truncated -> fmt_err "pool data is truncated"
-      in
+      let r = Bitio.reader sec.pool in
+      let p = Array.init sec.npools (fun _ -> Codec.read_anchors r) in
       sec.pools <- Some p;
       p
 
@@ -246,19 +246,18 @@ let load_shard t sec s =
   let bytes = String.sub t.data (sec.rec_base + lo) (hi - lo) in
   if crc bytes <> sec.shard_crc.(s) then
     err (Checksum_mismatch { what = "shard"; index = s });
-  let p = pools t sec in
+  let p = pools sec in
   let base = s * sec.shard_size in
   let k = min sec.shard_size (sec.count - base) in
+  (* every record takes at least 9 bits: a pool-id varint and the owner bit *)
+  if 9 * k > 8 * (hi - lo) then fmt_err "shard %d: %d records in %d bytes" s k (hi - lo);
   let r = Bitio.reader bytes in
   let arr =
-    try
-      Array.init k (fun j ->
-          let pool_id = Bitio.get_varint r in
-          if pool_id < 0 || pool_id >= Array.length p then
-            fmt_err "record %d references pool %d of %d" (base + j) pool_id
-              (Array.length p);
-          Codec.read_body ~owner_hint:(base + j) r ~anchors:p.(pool_id))
-    with Bitio.Truncated -> fmt_err "shard %d is truncated" s
+    Array.init k (fun j ->
+        let pool_id = Bitio.get_varint r in
+        if pool_id < 0 || pool_id >= Array.length p then
+          fmt_err "record %d references pool %d of %d" (base + j) pool_id (Array.length p);
+        Codec.read_body ~owner_hint:(base + j) r ~anchors:p.(pool_id))
   in
   sec.shards.(s) <- Some arr;
   arr
@@ -266,7 +265,17 @@ let load_shard t sec s =
 let get_label t sec i =
   if i < 0 || i >= sec.count then fmt_err "record index %d out of range [0,%d)" i sec.count;
   let s = i / sec.shard_size in
-  let arr = match sec.shards.(s) with Some a -> a | None -> load_shard t sec s in
+  let arr =
+    match sec.shards.(s) with
+    | Some a -> a
+    | None -> (
+        (* the codec raises [Bitio.Truncated] on a cut-short stream and
+           [Invalid_argument] on a field out of range: both mean a
+           corrupt store *)
+        try load_shard t sec s
+        with Bitio.Truncated | Invalid_argument _ ->
+          fmt_err "shard %d or its anchor pool is corrupt" s)
+  in
   arr.(i - (s * sec.shard_size))
 
 let dist_label t v = get_label t t.dist v

@@ -9,19 +9,23 @@
     with a single [offset, checksum] index entry — a per-shard index
     keeps directory overhead constant per shard instead of 8 bytes per
     record, which would dwarf the ~30-byte bit-packed records.
-    {!open_} parses directory structure only; record bytes stay raw
-    until the first {!dist_label}/{!cdl_label} touching their shard,
-    which verifies the shard checksum (the transport-integrity idiom:
-    [Hashtbl.hash] as a structural checksum), decodes the shard and
-    caches it — so seeks are O(1) after a one-time O(shard_size)
-    decode, and a flipped byte surfaces as {!Checksum_mismatch}, never
-    as a wrong distance. *)
+    {!open_} parses directory structure only, and verifies each
+    section's checksum, which covers the file header, the section's
+    count fields and its anchor pool, before any of those fields is
+    used. Record bytes stay raw until the first
+    {!dist_label}/{!cdl_label} touching their shard, which verifies the
+    shard checksum (the transport-integrity idiom: [Hashtbl.hash] as a
+    structural checksum), decodes the shard and caches it — so seeks
+    are O(1) after a one-time O(shard_size) decode. A damaged byte
+    surfaces as {!Error}, never as a wrong distance, and no count is
+    trusted to size an allocation beyond the bytes that must back it. *)
 
 type error =
   | Format_error of string  (** bad magic, truncation, out-of-range field *)
   | Checksum_mismatch of { what : string; index : int }
-      (** [what] is ["shard"] or ["pool"]; [index] the shard number
-          (records [index * shard_size ..]) or 0 for the pool *)
+      (** [what] is ["shard"] or ["section"]; [index] the shard number
+          (records [index * shard_size ..]) or the section (0 for
+          distances, 1 for CDL) *)
 
 exception Error of error
 
@@ -47,9 +51,10 @@ val save :
 
 type t
 
-(** [open_ path] reads the header and shard directories; no pool or
-    record is decoded.
-    @raise Error on bad magic or truncated directory. *)
+(** [open_ path] reads the header and shard directories and verifies
+    the section checksums; no pool or record is decoded.
+    @raise Error on bad magic, a section checksum mismatch, or a
+    truncated or inconsistent directory. *)
 val open_ : string -> t
 
 (** Number of distance labels (= graph vertices). *)

@@ -10,7 +10,6 @@ module Cg = Repro_lint.Callgraph
 module Effects = Repro_lint.Effects
 module Domains = Repro_lint.Domains
 module Alloc = Repro_lint.Alloc
-module Widths = Repro_lint.Widths
 module Bandwidth = Repro_lint.Bandwidth
 
 let () = Repro_congest.Engine.audit_enabled := true
@@ -511,7 +510,7 @@ let test_domain_alloc_fixture_corpus () =
   check_bool "hot_alloc_ok clean" false (List.mem "hot-alloc" (full "hot_alloc_ok"))
 
 (* ------------------------------------------------------------------ *)
-(* Width-soundness pass: intervals, guards, codec symmetry *)
+(* Bandwidth-soundness pass: verdicts and charge-site certification *)
 
 let parsed_of sources =
   List.map
@@ -520,121 +519,6 @@ let parsed_of sources =
       | Ok s -> (file, s)
       | Error msg -> Alcotest.failf "fixture %s did not parse: %s" file msg)
     sources
-
-let widths_findings sources = Widths.findings (cg_of sources)
-
-let test_widths_truncation () =
-  (* a one-sided guard leaves the top of the range open *)
-  let fs =
-    widths_findings
-      [
-        ( "fx/pack.ml",
-          "let write_bad w v =\n\
-          \  if v < 0 then invalid_arg \"neg\";\n\
-          \  Bitio.put w ~bits:4 v" );
-      ]
-  in
-  check_bool "width-trunc fires" true (has_finding "width-trunc" "may not fit" fs);
-  (* the finding prints the data-flow chain, not just the endpoint *)
-  check_bool "data-flow chain printed" true (has_finding "width-trunc" "data-flow:" fs);
-  let clean =
-    widths_findings
-      [
-        ( "fx/pack.ml",
-          "let write_ok w v =\n\
-          \  if v < 0 || v > 15 then invalid_arg \"range\";\n\
-          \  Bitio.put w ~bits:4 v" );
-      ]
-  in
-  check_int "two-sided guard discharges" 0 (List.length clean)
-
-let test_widths_range () =
-  let fs = widths_findings [ ("fx/pack.ml", "let f w n = Bitio.put w ~bits:n 1") ] in
-  check_bool "width-range fires" true (has_finding "width-range" "may leave [0, 30]" fs);
-  let clean =
-    widths_findings
-      [
-        ( "fx/pack.ml",
-          "let f w n v =\n\
-          \  if n < 1 || n > 30 then invalid_arg \"width\";\n\
-          \  Bitio.put w ~bits:n (v land ((1 lsl n) - 1))" );
-      ]
-  in
-  check_int "guard plus mask is clean" 0 (List.length clean)
-
-let widths_pair_src ~reader_bits =
-  [
-    ( "fx/msg.ml",
-      Printf.sprintf
-        "let write_rec w a b =\n\
-        \  Bitio.put w ~bits:8 (a land 255);\n\
-        \  Bitio.put w ~bits:16 (b land 65535)\n\
-         let read_rec r =\n\
-        \  let a = Bitio.get r ~bits:8 in\n\
-        \  let b = Bitio.get r ~bits:%d in\n\
-        \  (a, b)"
-        reader_bits );
-  ]
-
-let test_widths_symmetry () =
-  let report sources = Widths.analyze (cg_of sources) in
-  (match Widths.pairs (report (widths_pair_src ~reader_bits:16)) with
-  | [ (w, r, ok) ] ->
-      Alcotest.(check string) "writer" "Msg.write_rec" w;
-      Alcotest.(check string) "reader" "Msg.read_rec" r;
-      check_bool "pair certified symmetric" true ok
-  | ps -> Alcotest.failf "expected one pair, got %d" (List.length ps));
-  let fs = Widths.findings_of_report (report (widths_pair_src ~reader_bits:8)) in
-  check_bool "codec-mismatch fires" true (has_finding "codec-mismatch" "disagree" fs);
-  (* both canonical traces are printed so the diff is actionable *)
-  check_bool "traces printed" true (has_finding "codec-mismatch" "writer trace" fs)
-
-let test_widths_dynamic_width_pair () =
-  (* the width itself rides in a 6-bit header field: the writer's
-     bits_needed certificate and the reader's recovered slot must match *)
-  let fs =
-    widths_findings
-      [
-        ( "fx/msg.ml",
-          "let write_dyn w v =\n\
-          \  if v < 0 then invalid_arg \"neg\";\n\
-          \  let n = Bitio.bits_needed v in\n\
-          \  if n > 30 then invalid_arg \"wide\";\n\
-          \  Bitio.put w ~bits:6 n;\n\
-          \  Bitio.put w ~bits:n (v land ((1 lsl n) - 1))\n\
-           let read_dyn r =\n\
-          \  let n = Bitio.get r ~bits:6 in\n\
-          \  if n > 30 then invalid_arg \"corrupt\";\n\
-          \  Bitio.get r ~bits:n" );
-      ]
-  in
-  check_int "dynamic-width pair is clean" 0 (List.length fs)
-
-let test_widths_json_report () =
-  let json = Widths.to_json (Widths.analyze (cg_of (widths_pair_src ~reader_bits:16))) in
-  let contains needle =
-    let n = String.length needle in
-    let rec at i = i + n <= String.length json && (String.sub json i n = needle || at (i + 1)) in
-    at 0
-  in
-  check_bool "schema stamped" true (contains "repro-lint/widths/1");
-  check_bool "pair present" true (contains "Msg.write_rec");
-  check_bool "symmetry rendered" true (contains "\"symmetric\": true")
-
-let test_widths_fixture_corpus () =
-  let rules_in name =
-    List.map (fun (f : Lint.finding) -> f.Lint.rule) (widths_findings (fixture_dir name))
-  in
-  check_bool "width_trunc_bad flagged" true (List.mem "width-trunc" (rules_in "width_trunc_bad"));
-  check_bool "width_trunc_bad range flagged" true
-    (List.mem "width-range" (rules_in "width_trunc_bad"));
-  check_int "width_trunc_ok clean" 0 (List.length (rules_in "width_trunc_ok"));
-  check_bool "codec_mismatch_bad flagged" true
-    (List.mem "codec-mismatch" (rules_in "codec_mismatch_bad"));
-  check_int "codec_mismatch_ok clean" 0 (List.length (rules_in "codec_mismatch_ok"))
-
-(* ------------------------------------------------------------------ *)
-(* Bandwidth-soundness pass: verdicts and charge-site certification *)
 
 let bandwidth_report sources =
   let parsed = parsed_of sources in
@@ -922,15 +806,6 @@ let () =
           Alcotest.test_case "unmarked exempt" `Quick test_alloc_unmarked_functions_are_exempt;
           Alcotest.test_case "json report" `Quick test_alloc_json_report;
           Alcotest.test_case "fixture corpus" `Quick test_domain_alloc_fixture_corpus;
-        ] );
-      ( "widths",
-        [
-          Alcotest.test_case "truncation" `Quick test_widths_truncation;
-          Alcotest.test_case "width range" `Quick test_widths_range;
-          Alcotest.test_case "codec symmetry" `Quick test_widths_symmetry;
-          Alcotest.test_case "dynamic width pair" `Quick test_widths_dynamic_width_pair;
-          Alcotest.test_case "json report" `Quick test_widths_json_report;
-          Alcotest.test_case "fixture corpus" `Quick test_widths_fixture_corpus;
         ] );
       ( "bandwidth",
         [

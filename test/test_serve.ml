@@ -314,6 +314,331 @@ let test_store_rejects_index_corruption () =
         labels
 
 (* ------------------------------------------------------------------ *)
+(* Damaged stores: every decode failure is a [Store.Error] *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_store path data = Out_channel.with_open_bin path (fun oc -> output_string oc data)
+
+let get_u32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
+let set_u32 b pos v = Bytes.set_int32_le b pos (Int32.of_int v)
+
+(* A saved store's byte layout, parsed independently of [Store]: the
+   24-byte file header, then per section five u32 fields (count,
+   shard_size, npools, pool_len, checksum), the anchor pool, nshards+1
+   shard offsets, nshards shard checksums, and the shard payloads. *)
+type section_layout = {
+  sec : int;
+  pool_len : int;
+  dir : int;
+  nshards : int;
+  records : int;
+  offsets : int array;
+}
+
+let layout data =
+  let section sec =
+    let count = get_u32 data sec and shard_size = get_u32 data (sec + 4) in
+    let pool_len = get_u32 data (sec + 12) in
+    let nshards = (count + shard_size - 1) / shard_size in
+    let dir = sec + 20 + pool_len in
+    let offsets = Array.init (nshards + 1) (fun s -> get_u32 data (dir + (4 * s))) in
+    { sec; pool_len; dir; nshards; records = dir + (4 * ((2 * nshards) + 1)); offsets }
+  in
+  let dist = section 24 in
+  if get_u32 data 8 land 1 = 0 then [ dist ]
+  else [ dist; section (dist.records + dist.offsets.(dist.nshards)) ]
+
+(* Checksums recomputed the way [Store.save] computes them, to model a
+   writer that emits well-checksummed but structurally bad bytes: a
+   shard's covers its payload; a section's chains the file header, the
+   section's four count fields and its anchor pool. *)
+let rehash_shard b l s =
+  let lo = l.records + l.offsets.(s) and hi = l.records + l.offsets.(s + 1) in
+  set_u32 b (l.dir + (4 * (l.nshards + 1 + s))) (Hashtbl.hash (Bytes.sub_string b lo (hi - lo)))
+
+let rehash_section b l =
+  let seed = Hashtbl.seeded_hash (Hashtbl.hash (Bytes.sub_string b 0 24)) (Bytes.sub_string b l.sec 16) in
+  set_u32 b (l.sec + 16) (Hashtbl.seeded_hash seed (Bytes.sub_string b (l.sec + 20) l.pool_len))
+
+let wheel_store () =
+  let path = temp_path ".bin" in
+  Store.save path (build_labels (Generators.wheel 64));
+  (path, read_file path)
+
+(* [f] must raise [Store.Error] having allocated less than [limit]
+   bytes: a damaged count may not size an allocation *)
+let rejects_within ~limit what f =
+  let before = Gc.allocated_bytes () in
+  let raised = match f () with _ -> false | exception Store.Error _ -> true in
+  check_bool (what ^ ": raises Store.Error") true raised;
+  let used = Gc.allocated_bytes () -. before in
+  check_bool (Printf.sprintf "%s: allocated %.0f bytes, limit %d" what used limit) true
+    (used < float_of_int limit)
+
+let test_store_width_guard () =
+  let path, data = wheel_store () in
+  let l = List.hd (layout data) in
+  let b = Bytes.of_string data in
+  (* record 0 opens shard 0: an 8-bit pool-id varint, the owner bit,
+     then the 6-bit d_to width at bits 9..14, here set to 63 *)
+  let at = l.records + 1 in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lor 0x7e));
+  rehash_shard b l 0;
+  write_store path (Bytes.to_string b);
+  let st = Store.open_ path in
+  check_bool "corrupt width raises Format_error" true
+    (match Store.dist_label st 0 with
+    | _ -> false
+    | exception Store.Error (Store.Format_error _) -> true)
+
+let test_store_directory_count () =
+  let path, data = wheel_store () in
+  let limit = 64 * String.length data in
+  let l = List.hd (layout data) in
+  List.iter
+    (fun forged ->
+      let b = Bytes.of_string data in
+      set_u32 b l.sec (get_u32 data l.sec lor (1 lsl 31));
+      if forged then rehash_section b l;
+      write_store path (Bytes.to_string b);
+      rejects_within ~limit
+        (if forged then "forged count" else "damaged count")
+        (fun () -> Store.open_ path))
+    [ false; true ]
+
+let test_store_pool_counts () =
+  let path, data = wheel_store () in
+  let limit = 64 * String.length data in
+  let l = List.hd (layout data) in
+  let lookups what =
+    rejects_within ~limit what (fun () ->
+        let st = Store.open_ path in
+        (* a failed pool decode fails every lookup, not only the first *)
+        (try ignore (Store.dist_label st 0) with Store.Error _ -> ());
+        Store.dist_label st 1)
+  in
+  (* npools gains bit 22: an unchecked count then sizes a 32 MB array
+     (the top bit asks for 16 GB) *)
+  List.iter
+    (fun forged ->
+      let b = Bytes.of_string data in
+      set_u32 b (l.sec + 8) (get_u32 data (l.sec + 8) lor (1 lsl 22));
+      if forged then rehash_section b l;
+      write_store path (Bytes.to_string b);
+      lookups (if forged then "forged npools" else "damaged npools"))
+    [ false; true ];
+  (* the first anchor block's count becomes the varint 2^28 - 1, which
+     sizes the decoder's anchor array *)
+  let b = Bytes.of_string data in
+  Bytes.blit_string "\xff\xff\xff\x7f" 0 b (l.sec + 20) 4;
+  rehash_section b l;
+  write_store path (Bytes.to_string b);
+  lookups "forged anchor count"
+
+let test_store_header_checksum () =
+  let g = Digraph.with_labels (Generators.wheel 24) (fun e -> e.Digraph.id mod 2) in
+  let cdl = Cdl.build ~seed:3 g count_spec ~metrics:(Metrics.create ()) in
+  let path = temp_path ".bin" in
+  Store.save path (build_labels g)
+    ~cdl:(count_spec.Stateful.q_size, count_spec.Stateful.start, Cdl.labels cdl);
+  let data = read_file path in
+  let refused what b =
+    write_store path (Bytes.to_string b);
+    check_bool (what ^ " refused at open") true
+      (match Store.open_ path with _ -> false | exception Store.Error _ -> true)
+  in
+  let flip pos bit =
+    let b = Bytes.of_string data in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
+    b
+  in
+  (* the start state 1 -> 0: served CDL answers would start from the
+     wrong DFA state *)
+  refused "start-state flip" (flip 20 0);
+  (* flags 0: the CDL section would silently vanish *)
+  let b = Bytes.of_string data in
+  set_u32 b 8 0;
+  refused "cleared flags" b;
+  (* every bit of the file header and of each section's count fields *)
+  let fields = List.concat_map (fun l -> List.init 16 (fun i -> l.sec + i)) (layout data) in
+  List.iter
+    (fun pos ->
+      for bit = 0 to 7 do
+        refused (Printf.sprintf "byte %d bit %d" pos bit) (flip pos bit)
+      done)
+    (List.init 24 Fun.id @ fields)
+
+(* Store fuzzer: damage (not forgery: no checksum is recomputed) either
+   makes [open_] raise [Store.Error], or leaves every DIST and CDL answer
+   equal to the undamaged store's or raising [Store.Error]. *)
+
+type mutation =
+  | Flips of int list  (** bit positions *)
+  | Truncate of int  (** new length *)
+  | Swap of int * int * int  (** section, two shards *)
+  | Poke of int * int  (** byte position of a header or directory field, u32 *)
+
+let pp_mutation = function
+  | Flips bits -> "flip bits " ^ String.concat "," (List.map string_of_int bits)
+  | Truncate k -> Printf.sprintf "truncate to %d bytes" k
+  | Swap (s, i, j) -> Printf.sprintf "swap shards %d and %d of section %d" i j s
+  | Poke (pos, v) -> Printf.sprintf "write %#x at byte %d" v pos
+
+let mutate data = function
+  | Flips bits ->
+      let b = Bytes.of_string data in
+      List.iter
+        (fun i ->
+          Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lxor (1 lsl (i mod 8)))))
+        bits;
+      Bytes.to_string b
+  | Truncate k -> String.sub data 0 k
+  | Swap (s, i, j) ->
+      let l = List.nth (layout data) s in
+      let payload k =
+        String.sub data (l.records + l.offsets.(k)) (l.offsets.(k + 1) - l.offsets.(k))
+      in
+      let stop = l.records + l.offsets.(l.nshards) in
+      String.concat ""
+        ([ String.sub data 0 l.records ]
+        @ List.init l.nshards (fun k -> payload (if k = i then j else if k = j then i else k))
+        @ [ String.sub data stop (String.length data - stop) ])
+  | Poke (pos, v) ->
+      let b = Bytes.of_string data in
+      set_u32 b pos v;
+      Bytes.to_string b
+
+let fuzz_fixture =
+  lazy
+    (let g = labeled_graph 43 12 in
+     let n = Digraph.n g and q_size = count_spec.Stateful.q_size in
+     let cdl = Cdl.build ~seed:43 g count_spec ~metrics:(Metrics.create ()) in
+     let path = temp_path ".bin" in
+     Store.save ~shard_size:4 path (build_labels g)
+       ~cdl:(q_size, count_spec.Stateful.start, Cdl.labels cdl);
+     let queries =
+       List.init (n * n) (fun i -> Query.Dist { u = i / n; v = i mod n })
+       @ List.init (n * n * q_size) (fun i ->
+             Query.Cdl { u = i / (n * q_size); v = i / q_size mod n; q = i mod q_size })
+       |> Array.of_list
+     in
+     let src = Query.of_store (Store.open_ path) in
+     let answers = Array.map (Query.answer src) queries in
+     let dij = Array.init n (Shortest_path.dijkstra g) in
+     Array.iteri
+       (fun i q ->
+         let oracle =
+           match q with
+           | Query.Dist { u; v } -> dij.(u).(v)
+           | Query.Cdl { u; v; q } -> Cdl.sdec cdl ~q ~src:u ~dst:v
+         in
+         check_int "undamaged store = oracle" oracle answers.(i))
+       queries;
+     (read_file path, queries, answers, temp_path ".bin"))
+
+let arbitrary_mutation =
+  let gen =
+    QCheck.Gen.(
+      delay (fun () ->
+          let data, _, _, _ = Lazy.force fuzz_fixture in
+          let len = String.length data and sections = layout data in
+          let fields =
+            [ 0; 4; 8; 12; 16; 20 ]
+            @ List.concat_map
+                (fun l ->
+                  List.init 5 (fun i -> l.sec + (4 * i))
+                  @ List.init ((2 * l.nshards) + 1) (fun i -> l.dir + (4 * i)))
+                sections
+          in
+          let u32 = map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xffff) (int_bound 0xffff) in
+          frequency
+            [
+              (4, map (fun bits -> Flips bits) (list_size (int_range 1 4) (int_bound ((8 * len) - 1))));
+              (1, map (fun k -> Truncate k) (int_bound (len - 1)));
+              ( 1,
+                int_bound (List.length sections - 1) >>= fun s ->
+                let ns = (List.nth sections s).nshards in
+                map2 (fun i d -> Swap (s, i, (i + 1 + d) mod ns)) (int_bound (ns - 1)) (int_bound (ns - 2)) );
+              (2, map2 (fun pos v -> Poke (pos, v)) (oneofl fields) u32);
+            ]))
+  in
+  QCheck.make ~print:pp_mutation gen
+
+let prop_store_fuzz =
+  QCheck.Test.make ~name:"damaged store: Store.Error or the undamaged answer" ~count:2000
+    ~long_factor:50 arbitrary_mutation (fun m ->
+      let data, queries, answers, damaged = Lazy.force fuzz_fixture in
+      write_store damaged (mutate data m);
+      match Store.open_ damaged with
+      | exception Store.Error _ -> true
+      | st ->
+          let src = Query.of_store st in
+          Array.for_all2
+            (fun q a ->
+              match Query.answer src q with a' -> a' = a | exception Store.Error _ -> true)
+            queries answers)
+
+(* ------------------------------------------------------------------ *)
+(* Golden codec bytes: MD5 digests of the codec's output on fixed-seed
+   DL and count:1 CDL labels, captured before the codec was rewritten
+   as one description per record. The store file itself is not
+   digested, because its header and checksums change with the format
+   version. A change to label construction changes the inputs: re-capture
+   the digests then with the codec untouched. *)
+
+let golden =
+  [
+    (* weighted directed partial k-tree: asymmetric bodies, and CDL
+       labels with infinity sentinels *)
+    ( "ptk",
+      labeled_graph 41 40,
+      "7dcf1a9170ffb29fd0e00929d5318c0d",
+      "7029e67f93ecf962e48f452317c3982a" );
+    (* wheel: symmetric bodies *)
+    ( "wheel",
+      Digraph.with_labels (Generators.wheel 24) (fun e -> e.Digraph.id mod 2),
+      "de4760e01ab4013108ff213bc46a88c0",
+      "fc0bec804918d974dff2ca1e0e767f7d" );
+  ]
+
+let test_codec_golden () =
+  let inf_entry = ref false and asym = ref false and sym = ref false in
+  List.iter
+    (fun (name, g, d_whole, d_streamed) ->
+      let cdl = Cdl.build ~seed:5 g count_spec ~metrics:(Metrics.create ()) in
+      let sets = [ build_labels g; Cdl.labels cdl ] in
+      Array.iter
+        (fun la ->
+          let ds = List.map (Labeling.find la) (Labeling.anchors la) in
+          if List.exists (fun (t, f) -> t = Digraph.inf || f = Digraph.inf) ds then
+            inf_entry := true;
+          if List.exists (fun (t, f) -> t <> f) ds then asym := true
+          else if ds <> [] then sym := true)
+        (Array.concat sets);
+      let whole =
+        String.concat "" (List.concat_map (fun ls -> Array.to_list (Array.map Codec.encode ls)) sets)
+      in
+      let in_store_order ls =
+        let w = Bitio.writer () in
+        Array.iteri
+          (fun i la ->
+            let anchors = Array.of_list (Labeling.anchors la) in
+            Codec.write_anchors w anchors;
+            Codec.write_body ~owner_hint:i w ~anchors la)
+          ls;
+        Bitio.contents w
+      in
+      let streamed = String.concat "" (List.map in_store_order sets) in
+      let hex s = Digest.to_hex (Digest.string s) in
+      Alcotest.(check string) (name ^ ": encode digest") d_whole (hex whole);
+      Alcotest.(check string) (name ^ ": store-order stream digest") d_streamed (hex streamed))
+    golden;
+  check_bool "covers infinity sentinels" true !inf_entry;
+  check_bool "covers asymmetric bodies" true !asym;
+  check_bool "covers symmetric bodies" true !sym
+
+(* ------------------------------------------------------------------ *)
 (* Cache *)
 
 let test_cache_lru () =
@@ -494,7 +819,7 @@ let test_server_large_stream () =
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_bitio_roundtrip; prop_codec_roundtrip; prop_text_roundtrip ]
+      [ prop_bitio_roundtrip; prop_codec_roundtrip; prop_text_roundtrip; prop_store_fuzz ]
   in
   Alcotest.run "repro_serve"
     [
@@ -508,6 +833,7 @@ let () =
         [
           Alcotest.test_case "inf sentinels, empty label" `Quick test_codec_inf_and_empty;
           Alcotest.test_case "zigzag extremes" `Quick test_codec_zigzag_extremes;
+          Alcotest.test_case "golden bytes" `Quick test_codec_golden;
         ] );
       ( "text format",
         [
@@ -522,6 +848,10 @@ let () =
           Alcotest.test_case "record corruption rejected" `Quick test_store_rejects_corruption;
           Alcotest.test_case "index corruption contained" `Quick
             test_store_rejects_index_corruption;
+          Alcotest.test_case "corrupt width is a format error" `Quick test_store_width_guard;
+          Alcotest.test_case "directory count bounded" `Quick test_store_directory_count;
+          Alcotest.test_case "pool counts bounded" `Quick test_store_pool_counts;
+          Alcotest.test_case "header checksummed" `Quick test_store_header_checksum;
         ] );
       ( "cache",
         [

@@ -20,8 +20,6 @@
     [s_file], e.g. ["Make.run"]. *)
 type sym = { s_file : string; s_path : string }
 
-val sym_compare : sym -> sym -> int
-
 module Sym_set : Set.S with type elt = sym
 
 (** A mutable container bound by a local [let] inside a module-level

@@ -2,8 +2,8 @@
 
      lint [--format text|json] [--baseline FILE] [--no-interproc]
           [--only PASS] [--effects-out FILE] [--domains-out FILE]
-          [--alloc-out FILE] [--widths-out FILE] [--bandwidth-out FILE]
-          [--bench-out FILE] [--update-baseline] <file-or-dir>...
+          [--alloc-out FILE] [--bandwidth-out FILE] [--bench-out FILE]
+          [--update-baseline] <file-or-dir>...
 
    Directories are walked recursively for [.ml] files (in sorted order,
    so output and baseline application are stable). Each file is parsed
@@ -11,20 +11,20 @@
    [--no-interproc] is given, the whole file set feeds the
    interprocedural passes (symbol/call graph -> effect summaries ->
    node-locality / send-discipline -> domain-safety -> hot-alloc ->
-   widths -> bandwidth). [--only PASS] runs exactly one of
-   rules/interproc/domains/alloc/widths/bandwidth (unknown pass names
-   are a usage error, exit 2); baseline entries for the other passes
-   are set aside rather than reported stale.
-   [--effects-out]/[--domains-out]/[--alloc-out]/[--widths-out]/
-   [--bandwidth-out] additionally dump the corresponding JSON reports;
-   [--bench-out] writes BENCH_lint.json timing rows (whole-repo
-   certifier wall-clock, plus per-pass rows for the widths and
-   bandwidth certifiers) so analysis cost is tracked alongside the
-   fault benches. [--update-baseline] rewrites the baseline file in
-   place from the current findings instead of reporting them. A
-   baseline entry still marked "TODO justify" fails the build. Exits 0
-   when clean, 1 on findings, stale baseline entries, or unjustified
-   entries, 2 on usage/parse errors or nonexistent paths. *)
+   bandwidth). [--only PASS] runs exactly one of
+   rules/interproc/domains/alloc/bandwidth (unknown pass names are a
+   usage error, exit 2); baseline entries for the other passes are set
+   aside rather than reported stale.
+   [--effects-out]/[--domains-out]/[--alloc-out]/[--bandwidth-out]
+   additionally dump the corresponding JSON reports; [--bench-out]
+   writes BENCH_lint.json timing rows (whole-repo certifier wall-clock,
+   plus a per-pass row for the bandwidth certifier) so analysis cost is
+   tracked alongside the fault benches. [--update-baseline] rewrites
+   the baseline file in place from the current findings instead of
+   reporting them. A baseline entry still marked "TODO justify" fails
+   the build. Exits 0 when clean, 1 on findings, stale baseline
+   entries, or unjustified entries, 2 on usage/parse errors or
+   nonexistent paths. *)
 
 module Lint_core = Repro_lint.Lint_core
 module Interproc = Repro_lint.Interproc
@@ -32,15 +32,14 @@ module Effects = Repro_lint.Effects
 module Callgraph = Repro_lint.Callgraph
 module Domains = Repro_lint.Domains
 module Alloc = Repro_lint.Alloc
-module Widths = Repro_lint.Widths
 module Bandwidth = Repro_lint.Bandwidth
 
 let usage =
   "lint [--format text|json] [--baseline FILE] [--no-interproc] [--only PASS] \
-   [--effects-out FILE] [--domains-out FILE] [--alloc-out FILE] [--widths-out FILE] \
-   [--bandwidth-out FILE] [--bench-out FILE] [--update-baseline] <file-or-dir>..."
+   [--effects-out FILE] [--domains-out FILE] [--alloc-out FILE] [--bandwidth-out FILE] \
+   [--bench-out FILE] [--update-baseline] <file-or-dir>..."
 
-let passes = [ "rules"; "interproc"; "domains"; "alloc"; "widths"; "bandwidth" ]
+let passes = [ "rules"; "interproc"; "domains"; "alloc"; "bandwidth" ]
 
 (* the rule ids each pass owns, for scoping the baseline under --only *)
 let pass_rules = function
@@ -51,7 +50,6 @@ let pass_rules = function
   | "interproc" -> [ "node-locality"; "send-discipline" ]
   | "domains" -> [ "domain-safety" ]
   | "alloc" -> [ "hot-alloc" ]
-  | "widths" -> [ "width-trunc"; "width-range"; "codec-mismatch" ]
   | "bandwidth" -> [ "bandwidth-sound"; "bandwidth-charge" ]
   | _ -> []
 
@@ -76,7 +74,6 @@ let () =
   let effects_out = ref "" in
   let domains_out = ref "" in
   let alloc_out = ref "" in
-  let widths_out = ref "" in
   let bandwidth_out = ref "" in
   let bench_out = ref "" in
   let only = ref "" in
@@ -103,15 +100,12 @@ let () =
       ( "--alloc-out",
         Arg.Set_string alloc_out,
         "FILE write the [@@hot] allocation-site report as JSON" );
-      ( "--widths-out",
-        Arg.Set_string widths_out,
-        "FILE write the codec width/symmetry certificate as JSON" );
       ( "--bandwidth-out",
         Arg.Set_string bandwidth_out,
         "FILE write the per-algorithm bandwidth verdict table as JSON" );
       ( "--only",
         Arg.Set_string only,
-        "PASS run exactly one pass (rules|interproc|domains|alloc|widths|bandwidth)" );
+        "PASS run exactly one pass (rules|interproc|domains|alloc|bandwidth)" );
       ( "--bench-out",
         Arg.Set_string bench_out,
         "FILE write a BENCH_lint.json timing row (certifier wall-clock)" );
@@ -190,7 +184,7 @@ let () =
   let started = Unix.gettimeofday () in
   let interproc_wanted =
     !interproc
-    && List.exists run [ "interproc"; "domains"; "alloc"; "widths"; "bandwidth" ]
+    && List.exists run [ "interproc"; "domains"; "alloc"; "bandwidth" ]
   in
   let findings =
     if not interproc_wanted then findings
@@ -202,17 +196,11 @@ let () =
         write_out !domains_out (Domains.to_json cg (Domains.report cg));
       let hot = if run "alloc" then Alloc.analyze cg else [] in
       if !alloc_out <> "" && run "alloc" then write_out !alloc_out (Alloc.to_json hot);
-      let timed f = let t0 = Unix.gettimeofday () in let r = f () in (r, Unix.gettimeofday () -. t0) in
-      let widths_report, widths_wall =
-        if run "widths" then timed (fun () -> Some (Widths.analyze cg)) else (None, 0.)
+      let t0 = Unix.gettimeofday () in
+      let bandwidth_report =
+        if run "bandwidth" then Some (Bandwidth.analyze cg parsed) else None
       in
-      (match widths_report with
-      | Some r when !widths_out <> "" -> write_out !widths_out (Widths.to_json r)
-      | _ -> ());
-      let bandwidth_report, bandwidth_wall =
-        if run "bandwidth" then timed (fun () -> Some (Bandwidth.analyze cg parsed))
-        else (None, 0.)
-      in
+      let bandwidth_wall = Unix.gettimeofday () -. t0 in
       (match bandwidth_report with
       | Some r when !bandwidth_out <> "" -> write_out !bandwidth_out (Bandwidth.to_json r)
       | _ -> ());
@@ -228,17 +216,6 @@ let () =
               (List.length cg.Callgraph.callbacks)
               (List.length hot) wall;
           ]
-          @ (match widths_report with
-            | Some r ->
-                [
-                  Printf.sprintf
-                    "{\"experiment\": \"lint-widths\", \"put_sites\": %d, \"get_sites\": \
-                     %d, \"pairs\": %d, \"wall_s\": %.3f}"
-                    r.Widths.w_puts r.Widths.w_gets
-                    (List.length r.Widths.w_pairs)
-                    widths_wall;
-                ]
-            | None -> [])
           @
           match bandwidth_report with
           | Some r ->
@@ -258,7 +235,6 @@ let () =
       @ (if run "interproc" then Interproc.findings cg else [])
       @ (if run "domains" then Domains.findings cg else [])
       @ Alloc.findings_of_reports hot
-      @ (match widths_report with Some r -> Widths.findings_of_report r | None -> [])
       @ match bandwidth_report with Some r -> Bandwidth.findings_of_report r | None -> []
     end
   in

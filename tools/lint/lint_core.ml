@@ -54,15 +54,6 @@ let rules =
       "interprocedural: a [@@hot] function allocates (closure, tuple/record/variant box, \
        float box, partial application, or allocating callee) — the static form of the \
        EObs Gc.minor_words = 0 guarantee" );
-    ( "width-trunc",
-      "interval analysis: a value written by Bitio.put may exceed 2^bits - 1 — the field \
-       would silently truncate and the codec return a wrong value, not an error" );
-    ( "width-range",
-      "interval analysis: a ~bits width expression may leave [0, 30], the range Bitio \
-       accepts" );
-    ( "codec-mismatch",
-      "a Codec writer/reader pair disagrees on field order or widths after symbolic trace \
-       normalization — the bit-packed format has no in-band typing to catch this at runtime" );
     ( "bandwidth-sound",
       "a message module's `words` may undercharge its statically bounded content: every \
        accepted word must be accounted for the CONGEST O(log n)-bit budget to mean anything" );
@@ -79,9 +70,6 @@ let interproc_rule_ids =
     "send-discipline";
     "domain-safety";
     "hot-alloc";
-    "width-trunc";
-    "width-range";
-    "codec-mismatch";
     "bandwidth-sound";
     "bandwidth-charge";
   ]
