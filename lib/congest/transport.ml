@@ -51,6 +51,7 @@ module Make (M : Engine.MSG) = struct
     mutable retry_round : int;
     mutable backoff : int;  (* backoff exponent for this message (capped) *)
     mutable retries : int;  (* total retransmissions of this message *)
+    mutable unheard : int;  (* retransmissions since the last ack or intact NACK *)
     mutable nack_owed : bool;  (* a corrupt packet arrived; ask for a resend *)
     mutable dead : bool;  (* retry budget exhausted; link abandoned *)
     ackq : (int * int) Queue.t;  (* (peer epoch, seq) acks owed to the peer *)
@@ -80,6 +81,7 @@ module Make (M : Engine.MSG) = struct
       retry_round = 0;
       backoff = 0;
       retries = 0;
+      unheard = 0;
       nack_owed = false;
       dead = false;
       ackq = Queue.create ();
@@ -151,18 +153,20 @@ module Make (M : Engine.MSG) = struct
                     l.outstanding <- None;
                     l.backoff <- 0;
                     l.retries <- 0;
+                    l.unheard <- 0;
                     if tracing then
                       Repro_obs.Sink.emit sink
                         (Repro_obs.Event.Ack { round; src = v; dst = u; seq = s })
                 | _ -> ())
             | _ -> ());
             (* the peer rejected our last packet: fast-retransmit the
-               outstanding message this round (still counted against
-               the retry budget by the launch loop below) *)
+               outstanding message this round. An intact NACK proves the
+               peer is reachable, so it refills the retry budget. *)
             (if p.Packet.nack then
                match l.outstanding with
                | Some (s, _) ->
                    l.retry_round <- round;
+                   l.unheard <- 0;
                    if tracing then
                      Repro_obs.Sink.emit sink
                        (Repro_obs.Event.Nack { round; src = v; dst = u; seq = s })
@@ -206,7 +210,7 @@ module Make (M : Engine.MSG) = struct
           if not l.dead then begin
             let data =
               match l.outstanding with
-              | Some (s, _) when round >= l.retry_round && l.retries >= max_retries ->
+              | Some (s, _) when round >= l.retry_round && l.unheard >= max_retries ->
                   (* retry budget exhausted: the link is as good as cut.
                      Abandon everything queued on it and stop spending
                      rounds/bandwidth — the failure surfaces as a
@@ -230,6 +234,7 @@ module Make (M : Engine.MSG) = struct
                     Repro_obs.Sink.emit sink
                       (Repro_obs.Event.Retransmit { round; src = v; dst = u; seq = s });
                   l.retries <- l.retries + 1;
+                  l.unheard <- l.unheard + 1;
                   l.backoff <- min (l.backoff + 1) 6;
                   l.retry_round <-
                     round + (rto lsl l.backoff)
@@ -245,6 +250,7 @@ module Make (M : Engine.MSG) = struct
                     l.outstanding <- Some (s, m);
                     l.backoff <- 0;
                     l.retries <- 0;
+                    l.unheard <- 0;
                     l.retry_round <- round + rto;
                     Some (s, m)
                   end
@@ -280,5 +286,5 @@ module Make (M : Engine.MSG) = struct
         ~max_words:(max_words + 5) ~metrics ~label ()
     in
     Array.map (fun st -> st.user) states
-  [@@hot] [@@parallel_region]
+  [@@hot]
 end

@@ -38,15 +38,18 @@
     therefore never delivered to [step]: the algorithm sees only intact,
     exactly-once messages, at the price of extra retransmissions.
 
-    {b Bounded retries.} Each outstanding message is retransmitted at
-    most [max_retries] times (default 25). When the budget is exhausted
-    the sender declares the link {e dead}: everything queued on it is
-    abandoned, a [Link_lost] trace event and a
-    {!Metrics.Link_failures} charge record the typed failure, and
-    the link stops blocking quiescence — so a run over a permanently
-    partitioned link terminates instead of retrying forever. The typed
-    verdict surfaces one layer up: a {!Detector} turns silent links into
-    per-node suspicions and a [Partial] result.
+    {b Bounded retries.} A link is declared {e dead} when its outstanding
+    message has been retransmitted [max_retries] times in a row (default
+    25) with no ack and no intact NACK from the peer in between. Either
+    one proves the peer reachable and refills the budget (a NACK does not
+    reset the backoff). A link that keeps NACKing still delivers: the
+    adversary corrupts with probability < 1, so some copy arrives intact
+    and is acked. On a dead link everything queued is abandoned, a
+    [Link_lost] trace event and a {!Metrics.Link_failures} charge record
+    the typed failure, and the link stops blocking quiescence — so a run
+    over a permanently partitioned link terminates instead of retrying
+    forever. The typed verdict surfaces one layer up: a {!Detector} turns
+    silent links into per-node suspicions and a [Partial] result.
 
     Cost: a packet spends 1 header word on the epoch, 1 on the
     checksum, 1 on a data sequence number, and 2 on a piggybacked ack
@@ -82,9 +85,9 @@ module Make (M : Engine.MSG) : sig
         The jitter is a pure hash of the schedule position (no RNG
         state), so a replayed run reproduces the exact same
         retransmission schedule; default 0.
-      - [max_retries] — per-message retransmission budget before the
-        link is declared dead (see {e Bounded retries} above);
-        default 25. *)
+      - [max_retries] — retransmissions without an ack or intact NACK
+        before the link is declared dead (see {e Bounded retries}
+        above); default 25. *)
   val run :
     Repro_graph.Digraph.t ->
     init:(int -> 'st) ->

@@ -1386,36 +1386,51 @@ let test_spec_errors_name_field_and_grammar () =
 (* post-heal exactness: a partition that fully heals, plus drop/dup/
    delay/corruption, must leave no trace — outputs byte-identical to
    the fault-free run, message accounting conserved, and no corrupted
-   payload ever accepted *)
+   payload ever accepted. [healed_partition_run] returns whether the
+   BFS distances are exact, and the run's metrics. *)
+let healed_partition_run (seed, n, drop_pct, corrupt_pct) =
+  let g = Generators.partial_k_tree ~seed n 2 ~keep:0.7 in
+  let profile =
+    Fault.profile
+      ~drop:(float_of_int drop_pct /. 100.0)
+      ~corrupt:(float_of_int corrupt_pct /. 100.0)
+      ~duplicate:0.1 ~max_delay:2
+      ~partitions:
+        [
+          Fault.partition ~from:2 ~heal:(12 + (seed mod 9)) (Fault.Around [ seed mod n ]);
+          Fault.partition ~from:0 ~heal:6 (Fault.Links [ (seed mod n, (seed + 1) mod n) ]);
+        ]
+      ()
+  in
+  let root = (seed + 1) mod n in
+  let m = Metrics.create () in
+  let t =
+    Bfs_tree.build ~faults:(Fault.create ~seed:(seed + 31) profile) ~reliable:true g ~root
+      ~metrics:m
+  in
+  (t.Bfs_tree.dist = Traversal.bfs_undirected g root, m)
+
 let prop_healed_partition_exact =
   QCheck.Test.make ~name:"healed partition + corruption leaves no trace" ~count:25
+    ~long_factor:400
     QCheck.(quad (int_range 0 1000) (int_range 8 24) (int_range 0 30) (int_range 0 25))
-    (fun (seed, n, drop_pct, corrupt_pct) ->
-      let g = Generators.partial_k_tree ~seed n 2 ~keep:0.7 in
-      let profile =
-        Fault.profile
-          ~drop:(float_of_int drop_pct /. 100.0)
-          ~corrupt:(float_of_int corrupt_pct /. 100.0)
-          ~duplicate:0.1 ~max_delay:2
-          ~partitions:
-            [
-              Fault.partition ~from:2 ~heal:(12 + (seed mod 9)) (Fault.Around [ seed mod n ]);
-              Fault.partition ~from:0 ~heal:6 (Fault.Links [ (seed mod n, (seed + 1) mod n) ]);
-            ]
-          ()
-      in
-      let root = (seed + 1) mod n in
-      let m = Metrics.create () in
-      let t =
-        Bfs_tree.build ~faults:(Fault.create ~seed:(seed + 31) profile) ~reliable:true g
-          ~root ~metrics:m
-      in
-      t.Bfs_tree.dist = Traversal.bfs_undirected g root
+    (fun case ->
+      let exact, m = healed_partition_run case in
+      exact
       && Metrics.get m Messages + Metrics.get m Duplicated
          = Metrics.get m Delivered + Metrics.get m Dropped
       && Metrics.get m Corrupted = Metrics.get m Rejected
       && Metrics.get m Link_failures = 0)
 
+let test_nack_keeps_healed_link_alive () =
+  (* regression pin for the retry budget: in this lossy, corrupting run
+     peers keep NACKing garbled packets. Each intact NACK proves the
+     peer reachable and refills the budget; counting NACK-triggered
+     fast retransmits against it declared a delivering link dead. *)
+  let exact, m = healed_partition_run (75, 15, 27, 19) in
+  check_bool "exact BFS distances" true exact;
+  check_bool "peer NACKed corrupted packets" true (Metrics.get m Rejected > 0);
+  check_int "no link declared dead" 0 (Metrics.get m Link_failures)
 
 let () =
   let qsuite =
@@ -1489,6 +1504,8 @@ let () =
           Alcotest.test_case "retransmit schedule pin" `Quick test_retransmit_schedule_pinned;
           Alcotest.test_case "retry cap terminates" `Quick
             test_retry_cap_declares_dead_link_and_terminates;
+          Alcotest.test_case "nack keeps healed link alive" `Quick
+            test_nack_keeps_healed_link_alive;
           Alcotest.test_case "detector fault-free complete" `Quick
             test_detector_complete_when_fault_free;
           Alcotest.test_case "detector latency bound" `Quick test_detector_latency_within_bound;

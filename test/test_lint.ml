@@ -8,7 +8,6 @@ module Lint = Repro_lint.Lint_core
 module Interproc = Repro_lint.Interproc
 module Cg = Repro_lint.Callgraph
 module Effects = Repro_lint.Effects
-module Domains = Repro_lint.Domains
 module Alloc = Repro_lint.Alloc
 module Bandwidth = Repro_lint.Bandwidth
 
@@ -123,6 +122,7 @@ let interproc sources =
        sources)
 
 let interproc_findings sources = snd (interproc sources)
+let cg_of sources = fst (interproc sources)
 
 let has_finding rule substring fs =
   List.exists
@@ -319,109 +319,6 @@ let test_fixture_corpus () =
   check_int "send_discipline_ok clean" 0 (List.length (rules_in "send_discipline_ok"))
 
 (* ------------------------------------------------------------------ *)
-(* Domain-safety certifier *)
-
-let cg_of sources = fst (interproc sources)
-
-let domain_findings sources = Domains.findings (cg_of sources)
-
-let racy_sources =
-  [
-    ( "fx/state.ml",
-      "let total = ref 0\nlet record k = total := !total + k\nlet read () = !total" );
-    ( "fx/algo.ml",
-      "let run graph =\n\
-      \  let init _node = 0 in\n\
-      \  let step node st _inbox = State.record node; st in\n\
-      \  My_engine.run graph ~init ~step ~active:(fun _ _ -> true)" );
-  ]
-
-let test_domains_classification () =
-  let cg =
-    cg_of
-      (racy_sources
-      @ [
-          ("fx/counter.ml", "let hits = Atomic.make 0\nlet bump () = Atomic.incr hits");
-          ( "fx/config.ml",
-            "let table = Hashtbl.create 16\n\
-             let () = Hashtbl.replace table 1 \"one\"\n\
-             let find k = Hashtbl.find_opt table k" );
-        ])
-  in
-  let class_of file path =
-    match
-      List.find_opt
-        (fun (e : Domains.state_entry) ->
-          e.Domains.st_sym.Cg.s_file = file && e.Domains.st_sym.Cg.s_path = path)
-        (Domains.classify cg)
-    with
-    | Some e -> Domains.class_name e.Domains.st_class
-    | None -> Alcotest.failf "%s#%s not classified" file path
-  in
-  (* a named mutator makes the ref racy *)
-  Alcotest.(check string) "ref with writer" "racy" (class_of "fx/state.ml" "total");
-  (* Atomic is safe by construction, even with a named mutator *)
-  Alcotest.(check string) "atomic counter" "domain-safe (atomic)"
-    (class_of "fx/counter.ml" "hits");
-  (* the anonymous [let ()] initializer does not count as a writer *)
-  Alcotest.(check string) "frozen table" "domain-safe (immutable-after-init)"
-    (class_of "fx/config.ml" "table")
-
-let test_domains_racy_callback_chain () =
-  let fs = domain_findings racy_sources in
-  check_bool "domain-safety fires" true (has_finding "domain-safety" "State.total" fs);
-  (* the full reachability chain is printed *)
-  check_bool "chain printed" true
-    (has_finding "domain-safety" "step -> State.record -> State.total" fs);
-  check_bool "mutator named" true (has_finding "domain-safety" "mutated by State.record" fs)
-
-let test_domains_region_root () =
-  let fs =
-    domain_findings
-      [
-        ("fx/state.ml", "let flag = ref false\nlet set b = flag := b\nlet get () = !flag");
-        ("fx/engine.ml", "let run () = State.get () [@@parallel_region]");
-      ]
-  in
-  check_bool "region root fires" true (has_finding "domain-safety" "State.flag" fs);
-  check_bool "root described" true (has_finding "domain-safety" "parallel region `Engine.run`" fs)
-
-let test_domains_clean_twins () =
-  (* Atomic-guarded counter and immutable-after-init table: no findings
-     even though parallel regions reach them *)
-  let atomic =
-    domain_findings
-      [
-        ("fx/counter.ml", "let hits = Atomic.make 0\nlet bump () = Atomic.incr hits");
-        ("fx/engine.ml", "let run () = Counter.bump () [@@parallel_region]");
-      ]
-  in
-  check_int "atomic clean" 0 (List.length atomic);
-  let frozen =
-    domain_findings
-      [
-        ( "fx/config.ml",
-          "let table = Hashtbl.create 16\n\
-           let () = Hashtbl.replace table 1 \"one\"\n\
-           let find k = Hashtbl.find_opt table k" );
-        ("fx/engine.ml", "let run v = Config.find v [@@parallel_region]");
-      ]
-  in
-  check_int "frozen clean" 0 (List.length frozen)
-
-let test_domains_json_report () =
-  let cg = cg_of racy_sources in
-  let json = Domains.to_json cg (Domains.report cg) in
-  let contains needle =
-    let n = String.length needle in
-    let rec at i = i + n <= String.length json && (String.sub json i n = needle || at (i + 1)) in
-    at 0
-  in
-  check_bool "schema stamped" true (contains "repro-lint/domains/1");
-  check_bool "state entry present" true (contains "fx/state.ml#total");
-  check_bool "class rendered" true (contains "\"racy\"")
-
-(* ------------------------------------------------------------------ *)
 (* Allocation-discipline pass *)
 
 let hot_sites sources path =
@@ -495,17 +392,12 @@ let test_alloc_json_report () =
   check_bool "hot symbol present" true (contains "fx/hot.ml#hot_tuple");
   check_bool "site kind present" true (contains "\"tuple\"")
 
-(* the on-disk twin fixtures for both new passes *)
-let test_domain_alloc_fixture_corpus () =
+(* the on-disk twin fixtures of the allocation pass *)
+let test_alloc_fixture_corpus () =
   let full name =
     let cg, fs = interproc (fixture_dir name) in
-    List.map
-      (fun (f : Lint.finding) -> f.Lint.rule)
-      (fs @ Domains.findings cg @ Alloc.findings cg)
+    List.map (fun (f : Lint.finding) -> f.Lint.rule) (fs @ Alloc.findings cg)
   in
-  check_bool "domain_racy_bad flagged" true (List.mem "domain-safety" (full "domain_racy_bad"));
-  check_bool "domain_atomic_ok clean" false (List.mem "domain-safety" (full "domain_atomic_ok"));
-  check_bool "domain_frozen_ok clean" false (List.mem "domain-safety" (full "domain_frozen_ok"));
   check_bool "hot_alloc_bad flagged" true (List.mem "hot-alloc" (full "hot_alloc_bad"));
   check_bool "hot_alloc_ok clean" false (List.mem "hot-alloc" (full "hot_alloc_ok"))
 
@@ -734,7 +626,7 @@ let test_render_baseline_roundtrip_is_quiet () =
 let test_baseline_unjustified () =
   let text =
     "hot-alloc lib/congest/engine.ml 3 # the round loop builds per-round message lists\n\
-     domain-safety lib/congest/engine.ml 1 # TODO justify\n\
+     node-locality lib/congest/engine.ml 1 # TODO justify\n\
      hashtbl-order lib/congest/det_tbl.ml 2 # todo: look at this later\n"
   in
   match Lint.parse_baseline text with
@@ -742,7 +634,7 @@ let test_baseline_unjustified () =
   | Ok entries -> (
       match Lint.unjustified entries with
       | [ a; b ] ->
-          Alcotest.(check string) "first offender" "domain-safety" a.Lint.b_rule;
+          Alcotest.(check string) "first offender" "node-locality" a.Lint.b_rule;
           check_int "first line number" 2 a.Lint.b_line;
           Alcotest.(check string) "second offender" "hashtbl-order" b.Lint.b_rule;
           check_int "second line number" 3 b.Lint.b_line
@@ -791,21 +683,13 @@ let () =
           Alcotest.test_case "render roundtrip" `Quick test_render_baseline_roundtrip_is_quiet;
           Alcotest.test_case "unjustified entries" `Quick test_baseline_unjustified;
         ] );
-      ( "domains",
-        [
-          Alcotest.test_case "classification" `Quick test_domains_classification;
-          Alcotest.test_case "racy callback chain" `Quick test_domains_racy_callback_chain;
-          Alcotest.test_case "region root" `Quick test_domains_region_root;
-          Alcotest.test_case "clean twins" `Quick test_domains_clean_twins;
-          Alcotest.test_case "json report" `Quick test_domains_json_report;
-        ] );
       ( "alloc",
         [
           Alcotest.test_case "allocation kinds" `Quick test_alloc_kinds;
           Alcotest.test_case "clean and guarded" `Quick test_alloc_clean_and_guard;
           Alcotest.test_case "unmarked exempt" `Quick test_alloc_unmarked_functions_are_exempt;
           Alcotest.test_case "json report" `Quick test_alloc_json_report;
-          Alcotest.test_case "fixture corpus" `Quick test_domain_alloc_fixture_corpus;
+          Alcotest.test_case "fixture corpus" `Quick test_alloc_fixture_corpus;
         ] );
       ( "bandwidth",
         [

@@ -55,25 +55,18 @@ module Sym_set = Set.Make (struct
   let compare = sym_compare
 end)
 
-(* a run-local mutable container ([ref]/[Hashtbl.create]/... bound by a
-   [let] inside a module-level binding), by name and position *)
-type local_mutable = { lm_name : string; lm_line : int; lm_col : int }
-
 type binding = {
   file : string;
   path : string;  (* dotted path within the file, e.g. "Make.run" *)
   line : int;
   col : int;
   is_mutable_value : bool;
-  mutable_kind : string option;  (* "atomic" | "ref" | "hashtbl" | ... when mutable *)
   is_hot : bool;  (* carries a [@@hot] attribute: allocation-discipline obligation *)
-  is_region : bool;  (* carries [@@parallel_region]: a Domains-parallelizable root *)
   is_charge_site : bool;  (* carries [@@charge_site]: audited accounting entry point *)
   calls : sym list;  (* resolved in-repo references, sorted, deduplicated *)
   externals : string list;  (* unresolved qualified refs + effectful bare idents *)
   mutates : sym list;  (* resolved references in mutation position *)
   asserts_false : bool;
-  local_mutables : local_mutable list;  (* mutable containers bound by local lets *)
   expr : Parsetree.expression;  (* the binding's RHS, for Typedtree-adjacent passes *)
 }
 
@@ -85,7 +78,6 @@ type callback = {
   cb_col : int;
   cb_calls : sym list;
   cb_externals : string list;
-  cb_captured : local_mutable list;  (* run-local mutable containers it closes over *)
 }
 
 type t = {
@@ -118,14 +110,12 @@ let display s = module_of_file s.s_file ^ "." ^ s.s_path
 type raw_binding = {
   rb_path : string list;
   rb_loc : Location.t;
-  rb_mutable_kind : string option;
+  rb_mutable : bool;
   rb_hot : bool;
-  rb_region : bool;
   rb_charge : bool;
   rb_refs : string list list ref;
   rb_muts : string list list ref;
   mutable rb_assert_false : bool;
-  rb_locals : local_mutable list ref;
   rb_expr : Parsetree.expression;
 }
 
@@ -134,7 +124,6 @@ type raw_callback = {
   rc_label : string;
   rc_loc : Location.t;
   rc_refs : string list list;  (* locals already expanded *)
-  rc_captured : local_mutable list;
 }
 
 type raw_file = {
@@ -166,32 +155,26 @@ let is_mutator p =
       true
   | _ -> false
 
-(* is the right-hand side of a module-level [let] a mutable container?
-   returns the container kind (the domain-safety lattice distinguishes
-   Atomic, which is safe by construction, from everything else) *)
-let rec mutable_kind_of_rhs (e : P.expression) =
+(* is the right-hand side of a module-level [let] a mutable container? *)
+let rec is_mutable_rhs (e : P.expression) =
   match e.pexp_desc with
-  | P.Pexp_constraint (e, _) -> mutable_kind_of_rhs e
-  | P.Pexp_array _ -> Some "array"
+  | P.Pexp_constraint (e, _) -> is_mutable_rhs e
+  | P.Pexp_array _ -> true
   | P.Pexp_apply ({ pexp_desc = P.Pexp_ident { txt; _ }; _ }, _) -> (
       match strip_stdlib (flatten_lid txt) with
-      | [ "ref" ] -> Some "ref"
-      | [ "Hashtbl"; "create" ] -> Some "hashtbl"
-      | [ "Array"; ("make" | "init" | "create_float" | "of_list" | "copy") ] -> Some "array"
-      | [ "Buffer"; "create" ] -> Some "buffer"
-      | [ "Queue"; "create" ] -> Some "queue"
-      | [ "Stack"; "create" ] -> Some "stack"
-      | [ "Bytes"; ("create" | "make" | "of_string") ] -> Some "bytes"
-      | [ "Atomic"; "make" ] -> Some "atomic"
-      | [ "Weak"; "create" ] -> Some "weak"
-      | _ -> None)
-  | _ -> None
-
-let is_mutable_rhs e = mutable_kind_of_rhs e <> None
+      | [ "ref" ]
+      | [ "Hashtbl"; "create" ]
+      | [ "Array"; ("make" | "init" | "create_float" | "of_list" | "copy") ]
+      | [ ("Buffer" | "Queue" | "Stack" | "Weak"); "create" ]
+      | [ "Bytes"; ("create" | "make" | "of_string") ]
+      | [ "Atomic"; "make" ] ->
+          true
+      | _ -> false)
+  | _ -> false
 
 (* binding-level attributes the analyses consume: [@@hot] marks an
-   allocation-discipline obligation, [@@parallel_region] marks a root
-   the Domains refactor will run concurrently *)
+   allocation-discipline obligation, [@@charge_site] an audited
+   accounting entry point *)
 let has_attr name (attrs : P.attributes) =
   List.exists (fun (a : P.attribute) -> a.attr_name.txt = name) attrs
 
@@ -224,10 +207,6 @@ let functor_labels = [ "init"; "step"; "active"; "on_restart"; "restore"; "resyn
    references also reach its enclosing closures). *)
 let walk_value ~callbacks ~aliases ~owner (rb : raw_binding) expr0 =
   let locals : (string, string list list ref) Hashtbl.t = Hashtbl.create 16 in
-  (* run-local mutable containers ([let delayed = ref [] in ...]): the
-     state a per-node closure can capture and share across nodes — the
-     Domains refactor's shard inventory *)
-  let mutable_locals : (string, local_mutable) Hashtbl.t = Hashtbl.create 8 in
   let stack : string list list ref list ref = ref [] in
   let add_ref p =
     if p <> [] then begin
@@ -254,24 +233,8 @@ let walk_value ~callbacks ~aliases ~owner (rb : raw_binding) expr0 =
     !out
   in
   let register_callback label loc refs =
-    let refs = expand_locals refs in
-    (* which run-local mutable containers does this callback close over?
-       [expand_locals] already flattened the local-let chain, so a bare
-       name matching a recorded mutable local is a capture *)
-    let captured =
-      List.filter_map
-        (function [ x ] -> Hashtbl.find_opt mutable_locals x | _ -> None)
-        refs
-      |> List.sort_uniq compare
-    in
     callbacks :=
-      {
-        rc_owner = owner;
-        rc_label = label;
-        rc_loc = loc;
-        rc_refs = refs;
-        rc_captured = captured;
-      }
+      { rc_owner = owner; rc_label = label; rc_loc = loc; rc_refs = expand_locals refs }
       :: !callbacks
   in
   (* collect the raw references of one expression without disturbing the
@@ -314,16 +277,6 @@ let walk_value ~callbacks ~aliases ~owner (rb : raw_binding) expr0 =
     match var_names vb.pvb_pat with
     | [] -> iter.Ast_iterator.expr iter vb.pvb_expr
     | names ->
-        (if is_mutable_rhs vb.pvb_expr then
-           let pos = vb.pvb_pat.ppat_loc.loc_start in
-           List.iter
-             (fun n ->
-               let lm =
-                 { lm_name = n; lm_line = pos.pos_lnum; lm_col = pos.pos_cnum - pos.pos_bol }
-               in
-               Hashtbl.replace mutable_locals n lm;
-               rb.rb_locals := lm :: !(rb.rb_locals))
-             names);
         let acc = ref [] in
         List.iter
           (fun n ->
@@ -424,14 +377,12 @@ let rec walk_structure ~file ~prefix ~as_callbacks ~bindings ~aliases ~callbacks
                     {
                       rb_path = prefix @ [ name ];
                       rb_loc = vb.pvb_pat.ppat_loc;
-                      rb_mutable_kind = mutable_kind_of_rhs vb.pvb_expr;
+                      rb_mutable = is_mutable_rhs vb.pvb_expr;
                       rb_hot = has_attr "hot" vb.pvb_attributes;
-                      rb_region = has_attr "parallel_region" vb.pvb_attributes;
                       rb_charge = has_attr "charge_site" vb.pvb_attributes;
                       rb_refs = ref [];
                       rb_muts = ref [];
                       rb_assert_false = false;
-                      rb_locals = ref [];
                       rb_expr = vb.pvb_expr;
                     }
                   in
@@ -445,7 +396,6 @@ let rec walk_structure ~file ~prefix ~as_callbacks ~bindings ~aliases ~callbacks
                         rc_label = name;
                         rc_loc = vb.pvb_pat.ppat_loc;
                         rc_refs = !(rb.rb_refs);
-                        rc_captured = List.sort_uniq compare !(rb.rb_locals);
                       }
                       :: !callbacks)
                 names)
@@ -691,16 +641,13 @@ let build parsed =
               path = String.concat "." rb.rb_path;
               line = pos.pos_lnum;
               col = pos.pos_cnum - pos.pos_bol;
-              is_mutable_value = rb.rb_mutable_kind <> None;
-              mutable_kind = rb.rb_mutable_kind;
+              is_mutable_value = rb.rb_mutable;
               is_hot = rb.rb_hot;
-              is_region = rb.rb_region;
               is_charge_site = rb.rb_charge;
               calls;
               externals;
               mutates;
               asserts_false = rb.rb_assert_false;
-              local_mutables = List.sort_uniq compare !(rb.rb_locals);
               expr = rb.rb_expr;
             };
           order := s :: !order)
@@ -729,7 +676,6 @@ let build parsed =
               cb_col = pos.pos_cnum - pos.pos_bol;
               cb_calls = Sym_set.elements !calls;
               cb_externals = List.sort_uniq String.compare !exts;
-              cb_captured = rc.rc_captured;
             })
           rf.rf_callbacks)
       raws

@@ -22,11 +22,6 @@ type sym = { s_file : string; s_path : string }
 
 module Sym_set : Set.S with type elt = sym
 
-(** A mutable container bound by a local [let] inside a module-level
-    binding ([let delayed = ref [] in ...]): run-scoped shared state the
-    Domains refactor must shard. *)
-type local_mutable = { lm_name : string; lm_line : int; lm_col : int }
-
 type binding = {
   file : string;
   path : string;
@@ -35,14 +30,7 @@ type binding = {
   is_mutable_value : bool;
       (** defined as [ref]/[Hashtbl.create]/[Array.make]/[Buffer.create]/
           an array literal/...: module-level mutable state *)
-  mutable_kind : string option;
-      (** the container class when mutable: ["atomic"], ["ref"],
-          ["hashtbl"], ["array"], ... ([Atomic] is domain-safe by
-          construction; the rest need the immutability proof) *)
   is_hot : bool;  (** carries [@@hot]: statically certified allocation-free *)
-  is_region : bool;
-      (** carries [@@parallel_region]: a root the Domains refactor runs
-          concurrently (engine round loop, transport fast path) *)
   is_charge_site : bool;
       (** carries [@@charge_site]: an audited entry point of the message/
           storage accounting path, allowed to charge [Metrics.add_count]
@@ -53,8 +41,6 @@ type binding = {
           identifiers ([failwith], [print_endline], ...) *)
   mutates : sym list;  (** resolved references in mutation position *)
   asserts_false : bool;
-  local_mutables : local_mutable list;
-      (** mutable containers bound by local [let]s in this binding's body *)
   expr : Parsetree.expression;
       (** the binding's right-hand side, consumed by the allocation pass *)
 }
@@ -70,9 +56,6 @@ type callback = {
   cb_col : int;
   cb_calls : sym list;
   cb_externals : string list;
-  cb_captured : local_mutable list;
-      (** run-local mutable containers the callback closes over (shared
-          across every node of one run: the [PerNode] lattice class) *)
 }
 
 type resolver

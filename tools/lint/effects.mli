@@ -23,10 +23,6 @@ val find : t -> Callgraph.sym -> summary option
     ["<file>#<dotted path>"]. *)
 val sym_id : Callgraph.sym -> string
 
-(** JSON-writing helper shared with the [domains.json] emitter: [l] as
-    a JSON array of escaped strings. *)
-val json_string_list : string list -> string
-
 (** The machine-readable effect report
     ([_build/default/analysis/effects.json]): one entry per binding with
     its summary, direct calls, and external references. *)

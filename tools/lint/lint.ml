@@ -1,23 +1,21 @@
 (* CLI driver for the model-compliance lint:
 
-     lint [--format text|json] [--baseline FILE] [--no-interproc]
-          [--only PASS] [--effects-out FILE] [--domains-out FILE]
-          [--alloc-out FILE] [--bandwidth-out FILE] [--bench-out FILE]
-          [--update-baseline] <file-or-dir>...
+     lint [--format text|json] [--baseline FILE] [--only PASS]
+          [--effects-out FILE] [--alloc-out FILE] [--bandwidth-out FILE]
+          [--bench-out FILE] [--update-baseline] <file-or-dir>...
 
    Directories are walked recursively for [.ml] files (in sorted order,
    so output and baseline application are stable). Each file is parsed
-   once; the single-file rules run per file and, unless
-   [--no-interproc] is given, the whole file set feeds the
-   interprocedural passes (symbol/call graph -> effect summaries ->
-   node-locality / send-discipline -> domain-safety -> hot-alloc ->
+   once; the single-file rules run per file and the whole file set
+   feeds the interprocedural passes (symbol/call graph -> effect
+   summaries -> node-locality / send-discipline -> hot-alloc ->
    bandwidth). [--only PASS] runs exactly one of
-   rules/interproc/domains/alloc/bandwidth (unknown pass names are a
-   usage error, exit 2); baseline entries for the other passes are set
-   aside rather than reported stale.
-   [--effects-out]/[--domains-out]/[--alloc-out]/[--bandwidth-out]
-   additionally dump the corresponding JSON reports; [--bench-out]
-   writes BENCH_lint.json timing rows (whole-repo certifier wall-clock,
+   rules/interproc/alloc/bandwidth (unknown pass names are a usage
+   error, exit 2); baseline entries for the other passes are set aside
+   rather than reported stale.
+   [--effects-out]/[--alloc-out]/[--bandwidth-out] additionally dump
+   the corresponding JSON reports; [--bench-out] writes
+   BENCH_lint.json timing rows (whole-repo certifier wall-clock,
    plus a per-pass row for the bandwidth certifier) so analysis cost is
    tracked alongside the fault benches. [--update-baseline] rewrites
    the baseline file in place from the current findings instead of
@@ -30,16 +28,15 @@ module Lint_core = Repro_lint.Lint_core
 module Interproc = Repro_lint.Interproc
 module Effects = Repro_lint.Effects
 module Callgraph = Repro_lint.Callgraph
-module Domains = Repro_lint.Domains
 module Alloc = Repro_lint.Alloc
 module Bandwidth = Repro_lint.Bandwidth
 
 let usage =
-  "lint [--format text|json] [--baseline FILE] [--no-interproc] [--only PASS] \
-   [--effects-out FILE] [--domains-out FILE] [--alloc-out FILE] [--bandwidth-out FILE] \
-   [--bench-out FILE] [--update-baseline] <file-or-dir>..."
+  "lint [--format text|json] [--baseline FILE] [--only PASS] [--effects-out FILE] \
+   [--alloc-out FILE] [--bandwidth-out FILE] [--bench-out FILE] [--update-baseline] \
+   <file-or-dir>..."
 
-let passes = [ "rules"; "interproc"; "domains"; "alloc"; "bandwidth" ]
+let passes = [ "rules"; "interproc"; "alloc"; "bandwidth" ]
 
 (* the rule ids each pass owns, for scoping the baseline under --only *)
 let pass_rules = function
@@ -48,7 +45,6 @@ let pass_rules = function
         (fun id -> not (List.mem id Lint_core.interproc_rule_ids))
         Lint_core.rule_ids
   | "interproc" -> [ "node-locality"; "send-discipline" ]
-  | "domains" -> [ "domain-safety" ]
   | "alloc" -> [ "hot-alloc" ]
   | "bandwidth" -> [ "bandwidth-sound"; "bandwidth-charge" ]
   | _ -> []
@@ -70,9 +66,7 @@ let read_file path =
 let () =
   let format = ref "text" in
   let baseline_path = ref "" in
-  let interproc = ref true in
   let effects_out = ref "" in
-  let domains_out = ref "" in
   let alloc_out = ref "" in
   let bandwidth_out = ref "" in
   let bench_out = ref "" in
@@ -85,18 +79,9 @@ let () =
         Arg.Symbol ([ "text"; "json" ], fun s -> format := s),
         " output format (default text)" );
       ("--baseline", Arg.Set_string baseline_path, "FILE suppress baselined findings");
-      ( "--interproc",
-        Arg.Set interproc,
-        " run the interprocedural pass (default; see --no-interproc)" );
-      ( "--no-interproc",
-        Arg.Clear interproc,
-        " skip the interprocedural pass (single-file rules only)" );
       ( "--effects-out",
         Arg.Set_string effects_out,
         "FILE write the per-binding effect summaries as JSON" );
-      ( "--domains-out",
-        Arg.Set_string domains_out,
-        "FILE write the domain-safety classification report as JSON" );
       ( "--alloc-out",
         Arg.Set_string alloc_out,
         "FILE write the [@@hot] allocation-site report as JSON" );
@@ -105,7 +90,7 @@ let () =
         "FILE write the per-algorithm bandwidth verdict table as JSON" );
       ( "--only",
         Arg.Set_string only,
-        "PASS run exactly one pass (rules|interproc|domains|alloc|bandwidth)" );
+        "PASS run exactly one pass (rules|interproc|alloc|bandwidth)" );
       ( "--bench-out",
         Arg.Set_string bench_out,
         "FILE write a BENCH_lint.json timing row (certifier wall-clock)" );
@@ -182,18 +167,12 @@ let () =
     end
   in
   let started = Unix.gettimeofday () in
-  let interproc_wanted =
-    !interproc
-    && List.exists run [ "interproc"; "domains"; "alloc"; "bandwidth" ]
-  in
   let findings =
-    if not interproc_wanted then findings
+    if not (List.exists run [ "interproc"; "alloc"; "bandwidth" ]) then findings
     else begin
       let cg = Callgraph.build parsed in
       if !effects_out <> "" && run "interproc" then
         write_out !effects_out (Effects.to_json cg (Effects.summarize cg));
-      if !domains_out <> "" && run "domains" then
-        write_out !domains_out (Domains.to_json cg (Domains.report cg));
       let hot = if run "alloc" then Alloc.analyze cg else [] in
       if !alloc_out <> "" && run "alloc" then write_out !alloc_out (Alloc.to_json hot);
       let t0 = Unix.gettimeofday () in
@@ -233,7 +212,6 @@ let () =
       end;
       findings
       @ (if run "interproc" then Interproc.findings cg else [])
-      @ (if run "domains" then Domains.findings cg else [])
       @ Alloc.findings_of_reports hot
       @ match bandwidth_report with Some r -> Bandwidth.findings_of_report r | None -> []
     end

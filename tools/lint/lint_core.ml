@@ -46,10 +46,6 @@ let rules =
     ( "send-discipline",
       "interprocedural: a per-node callback path charges Metrics counters directly; all \
        traffic/storage accounting must flow through the engine's single charging path" );
-    ( "domain-safety",
-      "interprocedural: a parallelizable region root (engine round loop, transport fast \
-       path, per-node callbacks) can reach Racy module-level mutable state — convert it \
-       to Atomic, prove it immutable-after-init, or shard it per domain (DESIGN.md §3f)" );
     ( "hot-alloc",
       "interprocedural: a [@@hot] function allocates (closure, tuple/record/variant box, \
        float box, partial application, or allocating callee) — the static form of the \
@@ -68,7 +64,6 @@ let interproc_rule_ids =
   [
     "node-locality";
     "send-discipline";
-    "domain-safety";
     "hot-alloc";
     "bandwidth-sound";
     "bandwidth-charge";
