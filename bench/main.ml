@@ -946,7 +946,8 @@ let eobs () =
   let module Recorder = Repro_obs.Recorder in
   (* the exact pattern every engine emit site compiles to: test the
      [enabled] flag, only then build the event. With the null sink the
-     event constructor must never run, so the loop is allocation-free. *)
+     event constructor must never run, so the loop is allocation-free;
+     test_obs "allocation" gates that, and the async twin, at exactly 0. *)
   let emit_loop sink =
     Staged.stage (fun () ->
         let tracing = sink.Sink.enabled in
@@ -955,52 +956,6 @@ let eobs () =
             Sink.emit sink (Repro_obs.Event.Send { round = i; src = 0; dst = 1; words = 2 })
         done)
   in
-  (* hard gate (run by CI chaos-smoke): with the sink disabled the emit
-     loop must allocate exactly zero minor words — the dynamic twin of
-     the static hot-alloc pass (DESIGN.md §3f). [Gc.minor_words] is
-     [@@noalloc]/[@unboxed], so the measurement itself is invisible. *)
-  let burn = Staged.unstage (emit_loop Sink.null) in
-  burn ();
-  let before = Gc.minor_words () in
-  for _rep = 1 to 100 do
-    burn ()
-  done;
-  let delta = Gc.minor_words () -. before in
-  if delta <> 0.0 then (
-    Printf.printf "   FAIL: disabled emit loop allocated %.0f minor words\n" delta;
-    exit 1);
-  Printf.printf "   zero-alloc gate: 100 x 1000 disabled emit sites, 0 minor words\n";
-  (* same gate on the asynchronous executor (run by CI chaos-smoke): a
-     disabled-but-counting sink is driven through a whole forced-async
-     run under timing faults; the synchronizer's Pulse/Safe/Straggle
-     emit sites must test [enabled] before constructing any event, so
-     the counter must stay at zero — paired with the loop gate above,
-     the async hot path builds no event values when tracing is off. *)
-  let hits = ref 0 in
-  let counting_disabled = { Sink.enabled = false; emit = (fun _ -> incr hits) } in
-  let saved_sink = !Engine.trace_sink in
-  Engine.trace_sink := counting_disabled;
-  Async_engine.forced := true;
-  Fun.protect ~finally:(fun () ->
-      Engine.trace_sink := saved_sink;
-      Async_engine.forced := false)
-  @@ (fun () ->
-  let g = Generators.k_tree ~seed:21 64 3 in
-  let faults =
-    Fault.create ~seed:3
-      (Fault.profile
-         ~stragglers:[ Fault.straggle 5 ~from:2 ~until:8 ~factor:4 ]
-         ~link_latency:1 ~skew:2 ())
-  in
-  let m = Metrics.create () in
-  ignore (Bfs_tree.build ~faults g ~root:0 ~metrics:m);
-  if Metrics.get m Pulses = 0 then (
-    Printf.printf "   FAIL: async gate run never pulsed\n";
-    exit 1);
-  if !hits <> 0 then (
-    Printf.printf "   FAIL: disabled async run constructed %d event(s)\n" !hits;
-    exit 1));
-  Printf.printf "   zero-alloc gate: forced-async run, sink disabled, 0 events built\n";
   let recorder = Recorder.create ~capacity:(1 lsl 16) () in
   let tests =
     [

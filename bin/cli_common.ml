@@ -80,7 +80,13 @@ let directed_t =
 let build_graph input family n k seed max_weight directed =
   let base =
     match input with
-    | Some path -> Repro_graph.Io.load path
+    | Some path -> (
+        (* a malformed or unreadable file is a usage error like a bad
+           flag value: name the problem and exit 2 *)
+        try Repro_graph.Io.load path
+        with Invalid_argument msg | Sys_error msg ->
+          Printf.eprintf "bad --input %s: %s\n" path msg;
+          exit 2)
     | None ->
     match family with
     | Path -> Generators.path n

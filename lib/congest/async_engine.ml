@@ -27,7 +27,6 @@ let wire faults ~round ~src ~dst ~leg =
   match faults with
   | None -> 1
   | Some f -> 1 + Fault.latency f ~round ~src ~dst ~leg
-[@@hot]
 
 (* Lateness allowance against a neighbor already holding [strikes]
    strikes: the base deadline, doubled per consecutive miss. *)
@@ -66,7 +65,7 @@ type t = {
   cut : (int, unit) Hashtbl.t;
 }
 
-let push t ~vt v = Pqueue.push t.queue ((vt * t.n) + v) v [@@hot]
+let push t ~vt v = Pqueue.push t.queue ((vt * t.n) + v) v
 
 let start faults ~neighbors ~down ~metrics ~sink =
   let n = Array.length neighbors in
@@ -96,7 +95,7 @@ let start faults ~neighbors ~down ~metrics ~sink =
   done;
   t
 
-let is_cut t ~src ~dst = Hashtbl.mem t.cut ((src * t.n) + dst) [@@hot]
+let is_cut t ~src ~dst = Hashtbl.mem t.cut ((src * t.n) + dst)
 
 let dispatch t ~round step =
   Array.fill t.stepped 0 (Array.length t.stepped) false;
@@ -120,7 +119,6 @@ let dispatch t ~round step =
       t.stepped.(v) <- true
     end
   done
-[@@hot]
 
 (* A copy leaves [src] when its step ends and crosses the wire; its
    acknowledgement crosses back (drops are sender-detectable: the NACK
@@ -131,7 +129,6 @@ let transmit t ~round ~src ~dst ~copy =
   let ack = arr + wire t.faults ~round ~src:dst ~dst:src ~leg:(leg_ack copy) in
   if ack > t.safe_vt.(src) then t.safe_vt.(src) <- ack;
   arr
-[@@hot]
 
 let arrived t ~src ~dst arr =
   if arr > t.inbox_vt.(dst) then begin
@@ -141,7 +138,6 @@ let arrived t ~src ~dst arr =
     t.inbox_src.(dst) <- src
   end
   else if t.inbox_src.(dst) <> src && arr > t.inbox_vt2.(dst) then t.inbox_vt2.(dst) <- arr
-[@@hot]
 
 let commit t ~round send =
   let tracing = t.sink.Sink.enabled in
@@ -159,10 +155,9 @@ let commit t ~round send =
       if tracing then Sink.emit t.sink (Event.Safe { round; node = v; vt = t.safe_vt.(v) })
     end
   done
-[@@hot]
 
 (* a node's gate waits on a neighbor that pulsed and that it has not cut *)
-let waits_on t v u = u <> v && t.stepped.(u) && not (is_cut t ~src:u ~dst:v) [@@hot]
+let waits_on t v u = u <> v && t.stepped.(u) && not (is_cut t ~src:u ~dst:v)
 
 (* The α gate — each node starts its next pulse once its own step and
    SAFE are done, every copy addressed into that pulse has physically
@@ -238,4 +233,3 @@ let gate t ~round =
     t.inbox_vt2.(v) <- 0;
     push t ~vt:!gate v
   done
-[@@hot]

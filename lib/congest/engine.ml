@@ -489,5 +489,5 @@ module Make (M : MSG) = struct
       Metrics.add metrics ~label 1
     done;
     states
-  [@@hot] [@@charge_site]
+  [@@charge_site]
 end

@@ -47,7 +47,6 @@ let add_count t c k =
   match c with
   | Virtual_time -> if k > t.counts.(i) then t.counts.(i) <- k
   | _ -> t.counts.(i) <- t.counts.(i) + k
-  [@@hot]
 
 let rounds t = t.rounds
 let get t c = t.counts.(index c)

@@ -286,5 +286,4 @@ module Make (M : Engine.MSG) = struct
         ~max_words:(max_words + 5) ~metrics ~label ()
     in
     Array.map (fun st -> st.user) states
-  [@@hot]
 end

@@ -27,24 +27,36 @@ let of_string text =
       let fail lno msg = invalid_arg (Printf.sprintf "Io.of_string: line %d: %s" lno msg) in
       let directed, n, m =
         match String.split_on_char ' ' header |> List.filter (( <> ) "") with
-        | [ "digraph"; n; m ] -> (true, int_of_string n, int_of_string m)
-        | [ "graph"; n; m ] -> (false, int_of_string n, int_of_string m)
+        | [ (("graph" | "digraph") as kind); n; m ] -> (
+            match (int_of_string_opt n, int_of_string_opt m) with
+            | Some n, Some m when n >= 0 && m >= 0 -> (kind = "digraph", n, m)
+            | _ -> fail lno "expected '<graph|digraph> <n> <m>' with n, m >= 0")
         | _ -> fail lno "expected '<graph|digraph> <n> <m>'"
       in
       if List.length rest <> m then
         fail lno (Printf.sprintf "expected %d edge lines, found %d" m (List.length rest));
+      (* every check Digraph.create_labeled makes, made here so the
+         error names the edge's own line *)
       let parse_edge (lno, line) =
-        match
-          String.split_on_char ' ' line
-          |> List.filter (( <> ) "")
-          |> List.map int_of_string_opt
-        with
-        | [ Some s; Some d; Some w ] -> (s, d, w, 0)
-        | [ Some s; Some d; Some w; Some l ] -> (s, d, w, l)
-        | _ -> fail lno "expected '<src> <dst> <weight> [label]'"
+        let ((s, d, w, _) as edge) =
+          match
+            String.split_on_char ' ' line
+            |> List.filter (( <> ) "")
+            |> List.map int_of_string_opt
+          with
+          | [ Some s; Some d; Some w ] -> (s, d, w, 0)
+          | [ Some s; Some d; Some w; Some l ] -> (s, d, w, l)
+          | _ -> fail lno "expected '<src> <dst> <weight> [label]'"
+        in
+        List.iter
+          (fun v ->
+            if v < 0 || v >= n then
+              fail lno (Printf.sprintf "vertex %d out of range [0,%d)" v n))
+          [ s; d ];
+        if w < 0 then fail lno (Printf.sprintf "negative weight %d" w);
+        edge
       in
-      try Digraph.create_labeled ~directed n (List.map parse_edge rest)
-      with Invalid_argument e -> fail lno e)
+      Digraph.create_labeled ~directed n (List.map parse_edge rest))
 
 let save path g =
   let oc = open_out path in

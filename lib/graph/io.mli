@@ -11,12 +11,13 @@
 
 val to_string : Digraph.t -> string
 
-(** @raise Failure on malformed input, with a line number. *)
+(** @raise Invalid_argument on malformed input, naming the offending
+    line. *)
 val of_string : string -> Digraph.t
 
 val save : string -> Digraph.t -> unit
 
-(** @raise Sys_error / Failure *)
+(** @raise Sys_error / Invalid_argument *)
 val load : string -> Digraph.t
 
 (** [to_dot g] renders Graphviz DOT (edge labels show weights; nonzero

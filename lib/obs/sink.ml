@@ -12,4 +12,4 @@ type t = { enabled : bool; emit : Event.t -> unit }
 let null = { enabled = false; emit = ignore }
 let make emit = { enabled = true; emit }
 (* on the guarded hot path of every emit site: must not allocate *)
-let emit t e = t.emit e [@@hot]
+let emit t e = t.emit e

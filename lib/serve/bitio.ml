@@ -48,17 +48,14 @@ let rec get_loop r bits acc got =
     r.pos <- r.pos + take;
     get_loop r bits (acc lor (piece lsl got)) (got + take)
   end
-[@@hot]
 
 let get r ~bits =
   if bits_left r < bits then raise Truncated;
   get_loop r bits 0 0
-[@@hot]
 
 let rec get_varint r =
   let g = get r ~bits:8 in
   if g < 0x80 then g else (g land 0x7f) lor (get_varint r lsl 7)
-[@@hot]
 
 let bits_needed v =
   if v < 0 then invalid_arg "Bitio.bits_needed: negative";

@@ -42,7 +42,6 @@ let unlink t i =
   let p = t.prev.(i) and nx = t.next.(i) in
   if p >= 0 then t.next.(p) <- nx else t.head <- nx;
   if nx >= 0 then t.prev.(nx) <- p else t.tail <- p
-[@@hot]
 
 let push_front t i =
   t.prev.(i) <- -1;
@@ -50,7 +49,6 @@ let push_front t i =
   if t.head >= 0 then t.prev.(t.head) <- i;
   t.head <- i;
   if t.tail < 0 then t.tail <- i
-[@@hot]
 
 (* Hashtbl.find (not find_opt): no [Some] box on the per-query path. *)
 let find t key =
@@ -65,7 +63,6 @@ let find t key =
   | exception Not_found ->
       t.misses <- t.misses + 1;
       absent
-[@@hot]
 
 let add t key value =
   if t.capacity > 0 then

@@ -32,7 +32,13 @@ let parse src line =
         Error (Printf.sprintf "%s: %s: %d out of range [0,%d)" op name x hi)
     | Some x -> Ok x
   in
-  match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+  (* tabs, CRs and LFs separate fields like spaces: a CRLF query stream
+     leaves a '\r' on every line *)
+  match
+    String.map (function '\t' | '\r' | '\n' -> ' ' | c -> c) line
+    |> String.split_on_char ' '
+    |> List.filter (fun s -> s <> "")
+  with
   | [ "DIST"; u; v ] ->
       let* u = field "DIST" "u" src.n u in
       let* v = field "DIST" "v" src.n v in

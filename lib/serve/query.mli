@@ -33,9 +33,10 @@ type t =
   | Dist of { u : int; v : int }
   | Cdl of { u : int; v : int; q : int }  (** walk ends in state [q] *)
 
-(** [parse source line] parses ["DIST u v"] or ["CDL u v q"]
-    (whitespace-separated, ops case-sensitive). Errors name the bad
-    field, e.g. [DIST: v: expected an int, got "x"]. *)
+(** [parse source line] parses ["DIST u v"] or ["CDL u v q"] (fields
+    separated by any run of spaces, tabs, CRs or LFs; ops
+    case-sensitive). Errors name the bad field, e.g.
+    [DIST: v: expected an int, got "x"]. *)
 val parse : source -> string -> (t, string) result
 
 (** [key source q] is the query's injective int encoding — the cache

@@ -304,15 +304,27 @@ let test_io_comments_and_blanks () =
   let g = Repro_graph.Io.of_string text in
   check_int "m" 2 (Digraph.m g)
 
+(* every malformed input raises Invalid_argument naming where it broke:
+   a bad header count and an out-of-range vertex each at their own line *)
 let test_io_rejects_malformed () =
   List.iter
-    (fun text ->
-      check_bool "fails" true
-        (try
-           ignore (Repro_graph.Io.of_string text);
-           false
-         with Invalid_argument _ -> true))
-    [ ""; "triangle 3 1\n0 1 1"; "graph 3 2\n0 1 1"; "graph 2 1\n0 zebra 1" ]
+    (fun (text, where) ->
+      match Repro_graph.Io.of_string text with
+      | _ -> Alcotest.failf "accepted %S" text
+      | exception Invalid_argument msg ->
+          let n = String.length where in
+          let rec at i =
+            i + n <= String.length msg && (String.sub msg i n = where || at (i + 1))
+          in
+          check_bool (Printf.sprintf "%S: %S names %S" text msg where) true (at 0))
+    [
+      ("", "empty input");
+      ("triangle 3 1\n0 1 1", "line 1:");
+      ("graph 3 2\n0 1 1", "line 1:");
+      ("graph 2 1\n0 zebra 1", "line 2:");
+      ("graph x 1\n0 1 1", "line 1:");
+      ("graph 2 1\n0 5 1", "line 2:");
+    ]
 
 let prop_io_roundtrip =
   QCheck.Test.make ~name:"Io round-trips generated graphs" ~count:30

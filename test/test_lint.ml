@@ -8,7 +8,6 @@ module Lint = Repro_lint.Lint_core
 module Interproc = Repro_lint.Interproc
 module Cg = Repro_lint.Callgraph
 module Effects = Repro_lint.Effects
-module Alloc = Repro_lint.Alloc
 module Bandwidth = Repro_lint.Bandwidth
 
 let () = Repro_congest.Engine.audit_enabled := true
@@ -122,7 +121,6 @@ let interproc sources =
        sources)
 
 let interproc_findings sources = snd (interproc sources)
-let cg_of sources = fst (interproc sources)
 
 let has_finding rule substring fs =
   List.exists
@@ -317,89 +315,6 @@ let test_fixture_corpus () =
   check_bool "send_discipline_bad flagged" true
     (List.mem "send-discipline" (rules_in "send_discipline_bad"));
   check_int "send_discipline_ok clean" 0 (List.length (rules_in "send_discipline_ok"))
-
-(* ------------------------------------------------------------------ *)
-(* Allocation-discipline pass *)
-
-let hot_sites sources path =
-  let reports = Alloc.analyze (cg_of sources) in
-  match
-    List.find_opt (fun (r : Alloc.hot_report) -> r.Alloc.h_sym.Cg.s_path = path) reports
-  with
-  | Some r -> List.map (fun (s : Alloc.site) -> Alloc.kind_name s.Alloc.a_kind) r.Alloc.h_sites
-  | None -> Alcotest.failf "no hot report for %s" path
-
-let test_alloc_kinds () =
-  let src =
-    [
-      ( "fx/hot.ml",
-        "let helper xs = List.map (fun x -> x + 1) xs\n\
-         let add3 a b c = a + b + c\n\
-         let hot_closure xs x = List.iter (fun y -> ignore (x + y)) xs [@@hot]\n\
-         let hot_tuple a b = (a, b) [@@hot]\n\
-         let hot_float a b = a +. b [@@hot]\n\
-         let hot_variant x = Some x [@@hot]\n\
-         let hot_callee xs = helper xs [@@hot]\n\
-         let hot_partial a = add3 a 1 [@@hot]" );
-    ]
-  in
-  Alcotest.(check (list string)) "closure" [ "closure" ] (hot_sites src "hot_closure");
-  Alcotest.(check (list string)) "tuple" [ "tuple" ] (hot_sites src "hot_tuple");
-  Alcotest.(check (list string)) "float box" [ "float-box" ] (hot_sites src "hot_float");
-  Alcotest.(check (list string)) "variant" [ "variant" ] (hot_sites src "hot_variant");
-  (* helper allocates (List.map + its closure), found via the fixpoint *)
-  Alcotest.(check (list string)) "allocating callee" [ "alloc-call" ] (hot_sites src "hot_callee");
-  Alcotest.(check (list string)) "partial application" [ "partial-application" ]
-    (hot_sites src "hot_partial")
-
-let test_alloc_clean_and_guard () =
-  let src =
-    [
-      ( "fx/hot.ml",
-        "let hot_add a b = a + b [@@hot]\n\
-         let hot_get arr i = Array.unsafe_get arr i [@@hot]\n\
-         let hot_guarded tracing arr i =\n\
-        \  if tracing then Printf.printf \"probe %d\\n\" (Array.length arr);\n\
-        \  Array.unsafe_get arr i\n\
-         [@@hot]\n\
-         let hot_chain a b = hot_add a b [@@hot]" );
-    ]
-  in
-  Alcotest.(check (list string)) "pure arithmetic" [] (hot_sites src "hot_add");
-  Alcotest.(check (list string)) "array read" [] (hot_sites src "hot_get");
-  (* the tracing-guarded Printf is off the hot path by contract *)
-  Alcotest.(check (list string)) "guard excluded" [] (hot_sites src "hot_guarded");
-  (* calling a certified-clean sibling stays clean *)
-  Alcotest.(check (list string)) "clean chain" [] (hot_sites src "hot_chain")
-
-let test_alloc_unmarked_functions_are_exempt () =
-  let reports =
-    Alloc.analyze (cg_of [ ("fx/a.ml", "let f xs = List.map (fun x -> x + 1) xs") ])
-  in
-  check_int "no [@@hot], no report" 0 (List.length reports)
-
-let test_alloc_json_report () =
-  let cg =
-    cg_of [ ("fx/hot.ml", "let hot_tuple a b = (a, b) [@@hot]") ]
-  in
-  let json = Alloc.to_json (Alloc.analyze cg) in
-  let contains needle =
-    let n = String.length needle in
-    let rec at i = i + n <= String.length json && (String.sub json i n = needle || at (i + 1)) in
-    at 0
-  in
-  check_bool "schema stamped" true (contains "repro-lint/alloc/1");
-  check_bool "hot symbol present" true (contains "fx/hot.ml#hot_tuple");
-  check_bool "site kind present" true (contains "\"tuple\"")
-
-(* the on-disk twin fixtures of the allocation pass *)
-let test_alloc_fixture_corpus () =
-  let full name =
-    let cg, fs = interproc (fixture_dir name) in
-    List.map (fun (f : Lint.finding) -> f.Lint.rule) (fs @ Alloc.findings cg)
-  in
-  check_bool "hot_alloc_bad flagged" true (List.mem "hot-alloc" (full "hot_alloc_bad"));
-  check_bool "hot_alloc_ok clean" false (List.mem "hot-alloc" (full "hot_alloc_ok"))
 
 (* ------------------------------------------------------------------ *)
 (* Bandwidth-soundness pass: verdicts and charge-site certification *)
@@ -625,7 +540,7 @@ let test_render_baseline_roundtrip_is_quiet () =
 
 let test_baseline_unjustified () =
   let text =
-    "hot-alloc lib/congest/engine.ml 3 # the round loop builds per-round message lists\n\
+    "send-discipline lib/congest/engine.ml 3 # the engine is the charging path for its own counters\n\
      node-locality lib/congest/engine.ml 1 # TODO justify\n\
      hashtbl-order lib/congest/det_tbl.ml 2 # todo: look at this later\n"
   in
@@ -682,14 +597,6 @@ let () =
           Alcotest.test_case "render marks new entries" `Quick test_render_baseline_marks_new_entries;
           Alcotest.test_case "render roundtrip" `Quick test_render_baseline_roundtrip_is_quiet;
           Alcotest.test_case "unjustified entries" `Quick test_baseline_unjustified;
-        ] );
-      ( "alloc",
-        [
-          Alcotest.test_case "allocation kinds" `Quick test_alloc_kinds;
-          Alcotest.test_case "clean and guarded" `Quick test_alloc_clean_and_guard;
-          Alcotest.test_case "unmarked exempt" `Quick test_alloc_unmarked_functions_are_exempt;
-          Alcotest.test_case "json report" `Quick test_alloc_json_report;
-          Alcotest.test_case "fixture corpus" `Quick test_alloc_fixture_corpus;
         ] );
       ( "bandwidth",
         [

@@ -1,6 +1,7 @@
 (* Observability layer (lib/obs): event serialization, the ring-buffer
    recorder, zero-overhead-when-disabled, trace/metrics reconciliation,
-   deterministic record/replay, and the critical-path analyzer. *)
+   deterministic record/replay, the critical-path analyzer, and the
+   measured allocation contracts of the hot paths and the executor. *)
 
 module Digraph = Repro_graph.Digraph
 module Traversal = Repro_graph.Traversal
@@ -14,6 +15,9 @@ module Bfs_tree = Repro_congest.Bfs_tree
 module Bellman_ford = Repro_congest.Bellman_ford
 module Broadcast = Repro_congest.Broadcast
 module Async_engine = Repro_congest.Async_engine
+module Transport = Repro_congest.Transport
+module Cache = Repro_serve.Cache
+module Bitio = Repro_serve.Bitio
 module Event = Repro_obs.Event
 module Sink = Repro_obs.Sink
 module Recorder = Repro_obs.Recorder
@@ -570,6 +574,149 @@ let test_decompose_traces_one_flood () =
   in
   Alcotest.(check (list string)) "one bfs-tree run" [ "bfs-tree" ] labels
 
+(* ------------------------------------------------------------------ *)
+(* Allocation: the measured contract (DESIGN.md §3f) *)
+
+(* Minor words [f ()] allocates. [Gc.minor_words] returns an unboxed
+   float, so the two readings allocate nothing themselves; words that go
+   straight to the major heap (blocks over 256 words) are not counted. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let check_zero_alloc what f =
+  let w = minor_words f in
+  if w <> 0.0 then Alcotest.failf "%s allocated %.0f minor words, expected 0" what w
+
+(* the exact pattern every engine emit site compiles to: test the
+   [enabled] flag, only then build the event *)
+let emit_loop sink () =
+  let tracing = sink.Sink.enabled in
+  for i = 0 to 999 do
+    if tracing then Sink.emit sink (Event.Send { round = i; src = 0; dst = 1; words = 2 })
+  done
+
+let test_zero_alloc_paths () =
+  let burn = emit_loop Sink.null in
+  check_zero_alloc "100 x 1000 disabled emit sites" (fun () ->
+      for _ = 1 to 100 do
+        burn ()
+      done);
+  let m = Metrics.create () in
+  check_zero_alloc "Metrics.add_count" (fun () ->
+      for k = 1 to 1000 do
+        Metrics.add_count m Messages 1;
+        (* Virtual_time is a high-water mark: one raising, one not *)
+        Metrics.add_count m Virtual_time k;
+        Metrics.add_count m Virtual_time 0
+      done);
+  check_int "high-water kept" 1000 (Metrics.get m Virtual_time);
+  let c = Cache.create 4 in
+  Cache.add c 1 10;
+  Cache.add c 2 20;
+  (* alternating keys makes every hit promote a non-head entry *)
+  check_zero_alloc "Cache.find hit and miss" (fun () ->
+      for _ = 1 to 1000 do
+        ignore (Cache.find c 1);
+        ignore (Cache.find c 2);
+        ignore (Cache.find c 3)
+      done);
+  check_int "hits" 2000 (Cache.hits c);
+  check_int "misses" 1000 (Cache.misses c);
+  let w = Bitio.writer () in
+  for i = 0 to 999 do
+    Bitio.put w ~bits:7 (i land 127);
+    Bitio.put_varint w (i * 1000)
+  done;
+  let r = Bitio.reader (Bitio.contents w) in
+  check_zero_alloc "Bitio.get and get_varint" (fun () ->
+      for _ = 0 to 999 do
+        ignore (Bitio.get r ~bits:7);
+        ignore (Bitio.get_varint r)
+      done);
+  check_bool "stream consumed" true (Bitio.bits_left r < 8)
+
+(* A disabled-but-counting sink driven through a forced-async run under
+   timing faults: the synchronizer's Pulse/Safe/Straggle emit sites must
+   test [enabled] before constructing any event, so the counter must
+   stay at zero. *)
+let test_async_disabled_sink () =
+  let hits = ref 0 in
+  let counting_disabled = { Sink.enabled = false; emit = (fun _ -> incr hits) } in
+  Engine.trace_sink := counting_disabled;
+  Async_engine.forced := true;
+  Fun.protect ~finally:(fun () ->
+      Engine.trace_sink := Sink.null;
+      Async_engine.forced := false)
+  @@ fun () ->
+  let g = Generators.k_tree ~seed:21 64 3 in
+  let faults =
+    Fault.create ~seed:3
+      (Fault.profile
+         ~stragglers:[ Fault.straggle 5 ~from:2 ~until:8 ~factor:4 ]
+         ~link_latency:1 ~skew:2 ())
+  in
+  let m = Metrics.create () in
+  ignore (Bfs_tree.build ~faults g ~root:0 ~metrics:m);
+  check_bool "the run pulsed" true (Metrics.get m Pulses > 0);
+  check_int "events built" 0 !hits
+
+module Word = struct
+  type t = int
+
+  let words _ = 1
+end
+
+module Word_engine = Engine.Make (Word)
+module Word_transport = Transport.Make (Word)
+
+(* Minor words per [Metrics.Messages] over one whole run, audit off: the
+   audit's own bookkeeping is not part of the contract. *)
+let words_per_message run =
+  let m = Metrics.create () in
+  Engine.audit_enabled := false;
+  let w =
+    Fun.protect ~finally:(fun () -> Engine.audit_enabled := true) (fun () ->
+        minor_words (fun () -> run m))
+  in
+  w /. float_of_int (Metrics.get m Messages)
+
+(* Ceilings: the value measured when the test was added, plus 2 words
+   (one 2-tuple per message). Making messages cheaper lowers them. *)
+let check_words_per_message name ~ceiling run =
+  let wpm = words_per_message run in
+  Printf.printf "%s: %.3f minor words per message (ceiling %.3f)\n" name wpm ceiling;
+  if wpm > ceiling then
+    Alcotest.failf "%s: %.3f minor words per message, over the ceiling of %.3f" name wpm
+      ceiling
+
+(* Every node sends one word to each neighbor for 50 rounds. The step
+   function allocates nothing — each node's (state, outbox) pair is
+   built before the run — so the words a run allocates are the
+   executor's own. *)
+let test_engine_words_per_message () =
+  let g = Generators.k_tree ~seed:21 200 3 in
+  let sending =
+    Array.init (Digraph.n g) (fun v ->
+        (true, Array.to_list (Array.map (fun u -> (u, 1)) (Digraph.neighbors g v))))
+  in
+  let idle = (false, []) in
+  let step ~round ~node _ _ = if round < 50 then sending.(node) else idle in
+  let engine m =
+    ignore
+      (Word_engine.run g ~init:(fun _ -> true) ~step ~active:Fun.id ~metrics:m ~label:"flood"
+         ())
+  in
+  check_words_per_message "sync engine" ~ceiling:(25.661 +. 2.) engine;
+  Async_engine.forced := true;
+  Fun.protect ~finally:(fun () -> Async_engine.forced := false) (fun () ->
+      check_words_per_message "forced-async engine" ~ceiling:(26.223 +. 2.) engine);
+  check_words_per_message "transport, per packet" ~ceiling:(90.804 +. 2.) (fun m ->
+      ignore
+        (Word_transport.run g ~init:(fun _ -> true) ~step ~active:Fun.id ~metrics:m
+           ~label:"flood" ()))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "repro_obs"
@@ -611,4 +758,10 @@ let () =
         ] );
       ( "trace volume",
         [ Alcotest.test_case "decompose floods once" `Quick test_decompose_traces_one_flood ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "zero-alloc paths" `Quick test_zero_alloc_paths;
+          Alcotest.test_case "async disabled sink" `Quick test_async_disabled_sink;
+          Alcotest.test_case "engine words per message" `Quick test_engine_words_per_message;
+        ] );
     ]

@@ -714,9 +714,12 @@ let test_query_parse_errors () =
         check_bool (Printf.sprintf "%S error mentions %S (got %S)" line needle msg) true
           contains
   in
-  (match Query.parse src "DIST 0 5" with
-  | Ok (Query.Dist { u = 0; v = 5 }) -> ()
-  | _ -> Alcotest.fail "DIST 0 5 should parse");
+  List.iter
+    (fun line ->
+      match Query.parse src line with
+      | Ok (Query.Dist { u = 0; v = 5 }) -> ()
+      | _ -> Alcotest.failf "%S should parse as DIST 0 5" line)
+    [ "DIST 0 5"; "DIST 0 5\r"; "DIST\t0\t5" ];
   expect_err "u" "DIST x 5";
   expect_err "v" "DIST 0 99";
   expect_err "2 fields" "DIST 0 1 2";

@@ -61,13 +61,12 @@ type binding = {
   line : int;
   col : int;
   is_mutable_value : bool;
-  is_hot : bool;  (* carries a [@@hot] attribute: allocation-discipline obligation *)
   is_charge_site : bool;  (* carries [@@charge_site]: audited accounting entry point *)
   calls : sym list;  (* resolved in-repo references, sorted, deduplicated *)
   externals : string list;  (* unresolved qualified refs + effectful bare idents *)
   mutates : sym list;  (* resolved references in mutation position *)
   asserts_false : bool;
-  expr : Parsetree.expression;  (* the binding's RHS, for Typedtree-adjacent passes *)
+  expr : Parsetree.expression;  (* the binding's RHS, for the bandwidth pass *)
 }
 
 type callback = {
@@ -85,10 +84,9 @@ type t = {
   bindings : (sym, binding) Hashtbl.t;
   order : sym list;  (* deterministic iteration order *)
   callbacks : callback list;
-  resolver : resolver;
 }
 
-and resolver = {
+type resolver = {
   file_index : (string, (string list * string) list) Hashtbl.t;
       (* file -> [(path segments, dotted)] *)
   dir_files : (string * string, string) Hashtbl.t;  (* (dir, Module) -> file *)
@@ -111,7 +109,6 @@ type raw_binding = {
   rb_path : string list;
   rb_loc : Location.t;
   rb_mutable : bool;
-  rb_hot : bool;
   rb_charge : bool;
   rb_refs : string list list ref;
   rb_muts : string list list ref;
@@ -172,9 +169,8 @@ let rec is_mutable_rhs (e : P.expression) =
       | _ -> false)
   | _ -> false
 
-(* binding-level attributes the analyses consume: [@@hot] marks an
-   allocation-discipline obligation, [@@charge_site] an audited
-   accounting entry point *)
+(* binding-level attribute the bandwidth pass consumes: [@@charge_site]
+   marks an audited accounting entry point *)
 let has_attr name (attrs : P.attributes) =
   List.exists (fun (a : P.attribute) -> a.attr_name.txt = name) attrs
 
@@ -378,7 +374,6 @@ let rec walk_structure ~file ~prefix ~as_callbacks ~bindings ~aliases ~callbacks
                       rb_path = prefix @ [ name ];
                       rb_loc = vb.pvb_pat.ppat_loc;
                       rb_mutable = is_mutable_rhs vb.pvb_expr;
-                      rb_hot = has_attr "hot" vb.pvb_attributes;
                       rb_charge = has_attr "charge_site" vb.pvb_attributes;
                       rb_refs = ref [];
                       rb_muts = ref [];
@@ -642,7 +637,6 @@ let build parsed =
               line = pos.pos_lnum;
               col = pos.pos_cnum - pos.pos_bol;
               is_mutable_value = rb.rb_mutable;
-              is_hot = rb.rb_hot;
               is_charge_site = rb.rb_charge;
               calls;
               externals;
@@ -699,13 +693,4 @@ let build parsed =
     bindings;
     order = List.rev !order;
     callbacks;
-    resolver = r;
   }
-
-(* expose reference resolution to downstream passes (the allocation
-   analyzer resolves callee paths at its own call sites) *)
-let resolve_ref t ~file p = resolve t.resolver ~file p
-
-(* alias-expanded, Stdlib-stripped form of an unresolved path, for
-   classifying external references *)
-let normalize_ref t ~file p = strip_stdlib (expand_aliases t.resolver file p)

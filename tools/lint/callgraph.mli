@@ -30,7 +30,6 @@ type binding = {
   is_mutable_value : bool;
       (** defined as [ref]/[Hashtbl.create]/[Array.make]/[Buffer.create]/
           an array literal/...: module-level mutable state *)
-  is_hot : bool;  (** carries [@@hot]: statically certified allocation-free *)
   is_charge_site : bool;
       (** carries [@@charge_site]: an audited entry point of the message/
           storage accounting path, allowed to charge [Metrics.add_count]
@@ -42,7 +41,7 @@ type binding = {
   mutates : sym list;  (** resolved references in mutation position *)
   asserts_false : bool;
   expr : Parsetree.expression;
-      (** the binding's right-hand side, consumed by the allocation pass *)
+      (** the binding's right-hand side, consumed by the bandwidth pass *)
 }
 
 (** A per-node callback site with its reference set, closed over the
@@ -58,14 +57,11 @@ type callback = {
   cb_externals : string list;
 }
 
-type resolver
-
 type t = {
   files : string list;
   bindings : (sym, binding) Hashtbl.t;
   order : sym list;  (** deterministic iteration order (file, then source order) *)
   callbacks : callback list;  (** sorted by file, then position *)
-  resolver : resolver;
 }
 
 val find : t -> sym -> binding option
@@ -80,12 +76,3 @@ val module_of_file : string -> string
     resolution (directory siblings, library wrappers) and findings; they
     need not exist on disk. *)
 val build : (string * Parsetree.structure) list -> t
-
-(** [resolve_ref t ~file path] resolves a dotted reference occurring in
-    [file] against the whole-repo index (aliases, siblings, library
-    wrappers), exactly as [build] resolved binding references. *)
-val resolve_ref : t -> file:string -> string list -> sym option
-
-(** The alias-expanded, [Stdlib]-stripped form of an unresolved path,
-    for classifying external references. *)
-val normalize_ref : t -> file:string -> string list -> string list

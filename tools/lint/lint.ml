@@ -1,19 +1,18 @@
 (* CLI driver for the model-compliance lint:
 
      lint [--format text|json] [--baseline FILE] [--only PASS]
-          [--effects-out FILE] [--alloc-out FILE] [--bandwidth-out FILE]
-          [--bench-out FILE] [--update-baseline] <file-or-dir>...
+          [--effects-out FILE] [--bandwidth-out FILE] [--bench-out FILE]
+          [--update-baseline] <file-or-dir>...
 
    Directories are walked recursively for [.ml] files (in sorted order,
    so output and baseline application are stable). Each file is parsed
    once; the single-file rules run per file and the whole file set
    feeds the interprocedural passes (symbol/call graph -> effect
-   summaries -> node-locality / send-discipline -> hot-alloc ->
-   bandwidth). [--only PASS] runs exactly one of
-   rules/interproc/alloc/bandwidth (unknown pass names are a usage
-   error, exit 2); baseline entries for the other passes are set aside
-   rather than reported stale.
-   [--effects-out]/[--alloc-out]/[--bandwidth-out] additionally dump
+   summaries -> node-locality / send-discipline -> bandwidth).
+   [--only PASS] runs exactly one of rules/interproc/bandwidth (unknown
+   pass names are a usage error, exit 2); baseline entries for the
+   other passes are set aside rather than reported stale.
+   [--effects-out]/[--bandwidth-out] additionally dump
    the corresponding JSON reports; [--bench-out] writes
    BENCH_lint.json timing rows (whole-repo certifier wall-clock,
    plus a per-pass row for the bandwidth certifier) so analysis cost is
@@ -28,15 +27,13 @@ module Lint_core = Repro_lint.Lint_core
 module Interproc = Repro_lint.Interproc
 module Effects = Repro_lint.Effects
 module Callgraph = Repro_lint.Callgraph
-module Alloc = Repro_lint.Alloc
 module Bandwidth = Repro_lint.Bandwidth
 
 let usage =
   "lint [--format text|json] [--baseline FILE] [--only PASS] [--effects-out FILE] \
-   [--alloc-out FILE] [--bandwidth-out FILE] [--bench-out FILE] [--update-baseline] \
-   <file-or-dir>..."
+   [--bandwidth-out FILE] [--bench-out FILE] [--update-baseline] <file-or-dir>..."
 
-let passes = [ "rules"; "interproc"; "alloc"; "bandwidth" ]
+let passes = [ "rules"; "interproc"; "bandwidth" ]
 
 (* the rule ids each pass owns, for scoping the baseline under --only *)
 let pass_rules = function
@@ -45,7 +42,6 @@ let pass_rules = function
         (fun id -> not (List.mem id Lint_core.interproc_rule_ids))
         Lint_core.rule_ids
   | "interproc" -> [ "node-locality"; "send-discipline" ]
-  | "alloc" -> [ "hot-alloc" ]
   | "bandwidth" -> [ "bandwidth-sound"; "bandwidth-charge" ]
   | _ -> []
 
@@ -67,7 +63,6 @@ let () =
   let format = ref "text" in
   let baseline_path = ref "" in
   let effects_out = ref "" in
-  let alloc_out = ref "" in
   let bandwidth_out = ref "" in
   let bench_out = ref "" in
   let only = ref "" in
@@ -82,15 +77,12 @@ let () =
       ( "--effects-out",
         Arg.Set_string effects_out,
         "FILE write the per-binding effect summaries as JSON" );
-      ( "--alloc-out",
-        Arg.Set_string alloc_out,
-        "FILE write the [@@hot] allocation-site report as JSON" );
       ( "--bandwidth-out",
         Arg.Set_string bandwidth_out,
         "FILE write the per-algorithm bandwidth verdict table as JSON" );
       ( "--only",
         Arg.Set_string only,
-        "PASS run exactly one pass (rules|interproc|alloc|bandwidth)" );
+        "PASS run exactly one pass (rules|interproc|bandwidth)" );
       ( "--bench-out",
         Arg.Set_string bench_out,
         "FILE write a BENCH_lint.json timing row (certifier wall-clock)" );
@@ -168,13 +160,11 @@ let () =
   in
   let started = Unix.gettimeofday () in
   let findings =
-    if not (List.exists run [ "interproc"; "alloc"; "bandwidth" ]) then findings
+    if not (List.exists run [ "interproc"; "bandwidth" ]) then findings
     else begin
       let cg = Callgraph.build parsed in
       if !effects_out <> "" && run "interproc" then
         write_out !effects_out (Effects.to_json cg (Effects.summarize cg));
-      let hot = if run "alloc" then Alloc.analyze cg else [] in
-      if !alloc_out <> "" && run "alloc" then write_out !alloc_out (Alloc.to_json hot);
       let t0 = Unix.gettimeofday () in
       let bandwidth_report =
         if run "bandwidth" then Some (Bandwidth.analyze cg parsed) else None
@@ -189,11 +179,11 @@ let () =
           [
             Printf.sprintf
               "{\"experiment\": \"lint\", \"files\": %d, \"bindings\": %d, \"callbacks\": \
-               %d, \"hot_functions\": %d, \"wall_s\": %.3f}"
+               %d, \"wall_s\": %.3f}"
               (List.length cg.Callgraph.files)
               (List.length cg.Callgraph.order)
               (List.length cg.Callgraph.callbacks)
-              (List.length hot) wall;
+              wall;
           ]
           @
           match bandwidth_report with
@@ -212,7 +202,6 @@ let () =
       end;
       findings
       @ (if run "interproc" then Interproc.findings cg else [])
-      @ Alloc.findings_of_reports hot
       @ match bandwidth_report with Some r -> Bandwidth.findings_of_report r | None -> []
     end
   in

@@ -46,10 +46,6 @@ let rules =
     ( "send-discipline",
       "interprocedural: a per-node callback path charges Metrics counters directly; all \
        traffic/storage accounting must flow through the engine's single charging path" );
-    ( "hot-alloc",
-      "interprocedural: a [@@hot] function allocates (closure, tuple/record/variant box, \
-       float box, partial application, or allocating callee) — the static form of the \
-       EObs Gc.minor_words = 0 guarantee" );
     ( "bandwidth-sound",
       "a message module's `words` may undercharge its statically bounded content: every \
        accepted word must be accounted for the CONGEST O(log n)-bit budget to mean anything" );
@@ -64,7 +60,6 @@ let interproc_rule_ids =
   [
     "node-locality";
     "send-discipline";
-    "hot-alloc";
     "bandwidth-sound";
     "bandwidth-charge";
   ]
