@@ -38,12 +38,15 @@ let () =
 
   (* step 3: answer queries from labels only *)
   let queries = [ (0, 47); (3, 31); (12, 12); (40, 5) ] in
+  let mismatches = ref 0 in
   List.iter
     (fun (u, v) ->
       let from_labels = Labeling.decode labels.(u) labels.(v) in
       let reference = (Shortest_path.dijkstra g u).(v) in
+      if from_labels <> reference then incr mismatches;
       Format.printf "d(%d,%d) = %d  [dijkstra: %d]  %s@." u v from_labels reference
         (if from_labels = reference then "ok" else "MISMATCH"))
     queries;
 
-  Format.printf "@.simulated CONGEST cost:@.%a@." Metrics.pp metrics
+  Format.printf "@.simulated CONGEST cost:@.%a@." Metrics.pp metrics;
+  if !mismatches > 0 then exit 1

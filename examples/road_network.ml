@@ -51,10 +51,12 @@ let () =
   (* point-to-point queries straight from labels: zero extra rounds
      beyond exchanging two labels *)
   Format.printf "@.origin-destination queries (label decode only):@.";
+  let mismatches = ref 0 in
   List.iter
     (fun (u, v) ->
       let d = Labeling.decode labels.(u) labels.(v) in
       let reference = (Shortest_path.dijkstra g u).(v) in
+      if d <> reference then incr mismatches;
       Format.printf "  %2d -> %2d: time %2d  [%s]@." u v d
         (if d = reference then "exact" else "MISMATCH"))
     [ (0, 99); (9, 90); (23, 87); (50, 5) ];
@@ -72,4 +74,5 @@ let () =
   let mb = Metrics.create () in
   ignore (Bellman_ford.run g ~source:0 ~metrics:mb);
   Format.printf "@.one Bellman-Ford query costs %d rounds; a label decode costs 0@."
-    (Metrics.rounds mb)
+    (Metrics.rounds mb);
+  if !mismatches > 0 then exit 1

@@ -21,21 +21,41 @@ let floyd_warshall d =
 
 let build g dec ~metrics =
   let n = Digraph.n g in
-  (* lightest direct edge u -> v (both directions when undirected) *)
-  let direct = Hashtbl.create (Digraph.m g) in
-  let record u v w =
-    match Hashtbl.find_opt direct (u, v) with
-    | Some w' when w' <= w -> ()
-    | _ -> Hashtbl.replace direct (u, v) w
-  in
-  Array.iter
-    (fun e ->
-      record e.Digraph.src e.Digraph.dst e.Digraph.weight;
-      if not (Digraph.directed g) then record e.Digraph.dst e.Digraph.src e.Digraph.weight)
-    (Digraph.edges g);
+  (* lightest direct edge u -> v (both directions when undirected): per
+     vertex, its out-neighbours sorted with the lightest weight to each,
+     looked up by binary search (a hub sits in every bag, so scanning its
+     edge list per bag would cost its degree each time) *)
+  let nbr = Array.make n [||] and nbr_w = Array.make n [||] in
+  for u = 0 to n - 1 do
+    let other ei = Digraph.dst_of g (Digraph.edge g ei) u in
+    let weight ei = (Digraph.edge g ei).Digraph.weight in
+    let es = Array.copy (Digraph.out_edges g u) in
+    Array.sort
+      (fun a b ->
+        let c = Int.compare (other a) (other b) in
+        if c <> 0 then c else Int.compare (weight a) (weight b))
+      es;
+    (* the first edge to each neighbour is its lightest *)
+    let firsts = ref [] in
+    Array.iteri
+      (fun k ei ->
+        if other ei <> u && (k = 0 || other es.(k - 1) <> other ei) then firsts := ei :: !firsts)
+      es;
+    let firsts = Array.of_list (List.rev !firsts) in
+    nbr.(u) <- Array.map other firsts;
+    nbr_w.(u) <- Array.map weight firsts
+  done;
   let direct_w u v =
     if u = v then 0
-    else match Hashtbl.find_opt direct (u, v) with Some w -> w | None -> inf
+    else begin
+      let vs = nbr.(u) in
+      let lo = ref 0 and hi = ref (Array.length vs) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if vs.(mid) < v then lo := mid + 1 else hi := mid
+      done;
+      if !lo < Array.length vs && vs.(!lo) = v then nbr_w.(u).(!lo) else inf
+    end
   in
   (* subtree vertex sets, bottom-up *)
   let keys =
@@ -82,12 +102,10 @@ let build g dec ~metrics =
           for j = 0 to b - 1 do
             if i <> j then begin
               let w = direct_w bag.(i) bag.(j) in
-              let w =
-                match Labeling.dist_to labels.(bag.(i)) bag.(j) with
-                | Some d -> min w d
-                | None -> w
-              in
-              h.(i).(j) <- w
+              h.(i).(j) <-
+                (match Labeling.find labels.(bag.(i)) bag.(j) with
+                | d, _ -> Int.min w d
+                | exception Not_found -> w)
             end
           done
         done);
@@ -113,57 +131,48 @@ let build g dec ~metrics =
     | _ ->
         let vset = Hashtbl.find vsets x in
         Array.iter (fun v -> child_of.(v) <- -1) vset;
-        List.iter
-          (fun i ->
-            Array.iter
-              (fun v -> if pos.(v) < 0 then child_of.(v) <- i)
-              (Hashtbl.find vsets (x @ [ i ])))
-          children;
-        (* gateways per child: bag vertices present in that child *)
+        (* gateways per child: bag positions of the bag vertices present in
+           that child; [child_of] indexes this array *)
         let gateways =
-          List.map
-            (fun i ->
-              ( i,
-                Array.to_list (Hashtbl.find vsets (x @ [ i ]))
-                |> List.filter (fun v -> pos.(v) >= 0) ))
-            children
+          Array.of_list
+            (List.mapi
+               (fun k i ->
+                 let cset = Hashtbl.find vsets (x @ [ i ]) in
+                 Array.iter (fun v -> if pos.(v) < 0 then child_of.(v) <- k) cset;
+                 Array.of_list
+                   (List.filter_map
+                      (fun v -> if pos.(v) >= 0 then Some pos.(v) else None)
+                      (Array.to_list cset)))
+               children)
         in
-        let gateway_tbl = Hashtbl.create 8 in
-        List.iter (fun (i, gs) -> Hashtbl.add gateway_tbl i gs) gateways;
+        (* d(u -> a) and d(a -> u) for the gateway anchors a u has *)
+        let r_pos = Array.make b 0 and r_to = Array.make b 0 and r_from = Array.make b 0 in
         Array.iter
           (fun u ->
             if pos.(u) < 0 then begin
-              let ci = child_of.(u) in
-              assert (ci >= 0);
-              let gs = Hashtbl.find gateway_tbl ci in
-              (* d(u -> a) and d(a -> u) for gateway anchors a *)
-              let reach =
-                List.filter_map
-                  (fun a ->
-                    match
-                      (Labeling.dist_to labels.(u) a, Labeling.dist_from labels.(u) a)
-                    with
-                    | Some dt, Some df -> Some (pos.(a), dt, df)
-                    | _ -> None)
-                  gs
-              in
-              Array.iteri
-                (fun j s ->
-                  let d_to =
-                    List.fold_left
-                      (fun acc (ai, dt, _) ->
-                        if dt < inf && h.(ai).(j) < inf then min acc (dt + h.(ai).(j))
-                        else acc)
-                      inf reach
-                  and d_from =
-                    List.fold_left
-                      (fun acc (ai, _, df) ->
-                        if df < inf && h.(j).(ai) < inf then min acc (h.(j).(ai) + df)
-                        else acc)
-                      inf reach
-                  in
-                  Labeling.set labels.(u) ~anchor:s ~d_to ~d_from)
-                bag
+              let k = child_of.(u) in
+              assert (k >= 0);
+              let gs = gateways.(k) and reach = ref 0 in
+              for gi = 0 to Array.length gs - 1 do
+                match Labeling.find labels.(u) bag.(gs.(gi)) with
+                | dt, df ->
+                    r_pos.(!reach) <- gs.(gi);
+                    r_to.(!reach) <- dt;
+                    r_from.(!reach) <- df;
+                    incr reach
+                | exception Not_found -> ()
+              done;
+              for j = 0 to b - 1 do
+                let d_to = ref inf and d_from = ref inf in
+                for r = 0 to !reach - 1 do
+                  let ai = r_pos.(r) in
+                  if r_to.(r) < inf && h.(ai).(j) < inf then
+                    d_to := Int.min !d_to (r_to.(r) + h.(ai).(j));
+                  if r_from.(r) < inf && h.(j).(ai) < inf then
+                    d_from := Int.min !d_from (h.(j).(ai) + r_from.(r))
+                done;
+                Labeling.set labels.(u) ~anchor:bag.(j) ~d_to:!d_to ~d_from:!d_from
+              done
             end)
           vset);
     Array.iter (fun v -> pos.(v) <- -1) bag;
@@ -188,6 +197,10 @@ let build g dec ~metrics =
         Array.of_list (List.map (fun x -> Hashtbl.find vsets x) level_keys)
       in
       let parts = Part.make_unchecked g members in
+      (* each level still floods and charges its own BFS tree (the
+         "bfs-tree" label), where decomposition and matching measure every
+         basis on one [Primitives.charge_tree] per run (DESIGN §3); sharing
+         one tree here would lower the charged rounds and messages *)
       let b = Primitives.basis parts ~metrics in
       Metrics.add metrics ~label:"dl/level" (Primitives.bct_rounds b ~h:!h_max))
     depths;

@@ -1,6 +1,7 @@
 module Digraph = Repro_graph.Digraph
 module Traversal = Repro_graph.Traversal
 module Shortest_path = Repro_graph.Shortest_path
+module Pqueue = Repro_graph.Pqueue
 module Metrics = Repro_congest.Metrics
 module Bfs_tree = Repro_congest.Bfs_tree
 module Broadcast = Repro_congest.Broadcast
@@ -47,27 +48,63 @@ let directed ?dec ?(seed = 0) ?faults ?reliable g ~metrics =
   let g_min = aggregate_min ?faults ?reliable (Digraph.skeleton g) candidate ~metrics in
   { girth = g_min; trials = 1 }
 
-(* minimum over closed exact-count-1 walks under labeling [labeled]:
-   every such walk crosses one labeled edge e=(a,b) and otherwise avoids
-   labeled edges, so the optimum is min over labeled e of w(e) + d_0(b,a)
-   where d_0 is the distance in the unlabeled subgraph. *)
-let min_exact_count1 g ~labeled =
-  let unlabeled_graph =
-    Digraph.create_labeled ~directed:false (Digraph.n g)
-      (Array.to_list (Digraph.edges g)
-      |> List.filter_map (fun e ->
-             if labeled e.Digraph.id then None
-             else Some (e.Digraph.src, e.Digraph.dst, e.Digraph.weight, 0)))
+(* [min bound v], where v is the minimum over closed exact-count-1 walks
+   under labeling [labeled]: every such walk crosses one labeled edge
+   e=(a,b) and otherwise avoids labeled edges, so v is the min over
+   labeled e of w(e) + d_0(b,a), d_0 the distance in G minus the labeled
+   edges. Each e gets one Dijkstra from b over [g] itself that skips
+   labeled edges and stops once it cannot beat the running best: e is
+   skipped when w(e) >= best, nothing at distance >= best - w(e) is
+   queued, and the search ends when a is popped (its distance is then
+   final). Returning [min bound v] instead of v is exact for every
+   caller: a trial's value only feeds [best := min best v], and neither
+   the trial count nor any Metrics charge reads a value, so girth,
+   trials, metrics and traces are those of the unbounded search. *)
+let min_exact_count1 g ~labeled ~bound =
+  let n = Digraph.n g in
+  let dist = Array.make n inf in
+  let touched = Array.make n 0 and n_touched = ref 0 in
+  let queue = Pqueue.create () in
+  let relax v d =
+    if dist.(v) = inf then begin
+      touched.(!n_touched) <- v;
+      incr n_touched
+    end;
+    dist.(v) <- d;
+    Pqueue.push queue d v
   in
-  let best = ref inf in
+  let best = ref bound in
   Array.iter
     (fun e ->
-      if labeled e.Digraph.id then
-        if e.Digraph.src = e.Digraph.dst then best := min !best e.Digraph.weight
+      let a = e.Digraph.src and b = e.Digraph.dst and w = e.Digraph.weight in
+      if labeled e.Digraph.id && w < !best then
+        if a = b then best := w
         else begin
-          let d = Shortest_path.dijkstra unlabeled_graph e.Digraph.dst in
-          if d.(e.Digraph.src) < inf then
-            best := min !best (e.Digraph.weight + d.(e.Digraph.src))
+          let limit = !best - w in
+          relax b 0;
+          while not (Pqueue.is_empty queue) do
+            let d, v = Pqueue.pop_min queue in
+            if v = a then begin
+              best := w + d;
+              while not (Pqueue.is_empty queue) do
+                ignore (Pqueue.pop_min queue)
+              done
+            end
+            else if d = dist.(v) then begin
+              let out = Digraph.out_edges g v in
+              for k = 0 to Array.length out - 1 do
+                if not (labeled out.(k)) then begin
+                  let e' = Digraph.edge g out.(k) in
+                  let u = Digraph.dst_of g e' v and nd = d + e'.Digraph.weight in
+                  if nd < limit && nd < dist.(u) then relax u nd
+                end
+              done
+            end
+          done;
+          for i = 0 to !n_touched - 1 do
+            dist.(touched.(i)) <- inf
+          done;
+          n_touched := 0
         end)
     (Digraph.edges g);
   !best
@@ -100,9 +137,7 @@ let undirected ?(mode = `Charged) ?repeats ?dec ?(seed = 0) ?faults ?reliable g 
       Array.iter
         (fun e ->
           incr trials;
-          let lg = Digraph.with_labels g (fun e' -> if e'.Digraph.id = e.Digraph.id then 1 else 0) in
-          let v = min_exact_count1 lg ~labeled:(fun id -> id = e.Digraph.id) in
-          if v < !best then best := v)
+          best := min_exact_count1 g ~labeled:(fun id -> id = e.Digraph.id) ~bound:!best)
         (Digraph.edges g);
       Metrics.add metrics ~label:"girth/trials" ((m - 1) * cost)
   | (`Charged | `Faithful) as rmode ->
@@ -134,8 +169,7 @@ let undirected ?(mode = `Charged) ?repeats ?dec ?(seed = 0) ?faults ?reliable g 
               | `Charged ->
                   let cost = measure_cdl_cost labels_fn in
                   Metrics.add metrics ~label:"girth/trials" cost;
-                  min_exact_count1 (Digraph.with_labels g labels_fn) ~labeled:(fun id ->
-                      lbl.(id) = 1)
+                  min_exact_count1 g ~labeled:(fun id -> lbl.(id) = 1) ~bound:!best
             in
             if v < !best then best := v
           done)

@@ -14,10 +14,13 @@
     success probability.
 
     Modes: [`Faithful] runs the CDL construction per trial; [`Charged]
-    runs it once and charges its measured cost per trial (the per-trial
-    values are computed from the same product graph). The deterministic
-    variant [`PerEdge] labels one edge at a time — m trials, each exact —
-    and is used as a derandomized validation mode. *)
+    runs it once and charges its measured cost per trial. Its per-trial
+    values are computed centrally, without the product graph: for each
+    labeled edge (a,b), a shortest b-a path in G minus the labeled edges,
+    searched only as far as it can still beat the best value so far
+    (DESIGN §3). The deterministic variant [`PerEdge] labels one edge at
+    a time — m trials, each exact — and is used as a derandomized
+    validation mode. *)
 
 type mode = [ `Faithful | `Charged | `PerEdge ]
 

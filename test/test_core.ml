@@ -448,6 +448,118 @@ let prop_girth_peredge_exact =
       let m = Metrics.create () in
       (Girth.undirected ~mode:`PerEdge ~seed g ~metrics:m).Girth.girth = Girth_ref.girth g)
 
+(* the generators only make simple graphs with weights >= 1: this one adds
+   zero-weight edges, parallel edges and self-loops, the cases where a
+   bounded closing-path search can stop one step too early *)
+let prop_girth_multigraph =
+  QCheck.Test.make ~name:"girth on weighted multigraphs: per-edge exact, charged >= g"
+    ~count:200
+    QCheck.(pair (int_range 0 100_000) (int_range 4 12))
+    (fun (seed, n) ->
+      let rng = Random.State.make [| seed; n |] in
+      let w () = Random.State.int rng 6 in
+      let tree = List.init (n - 1) (fun i -> (Random.State.int rng (i + 1), i + 1, w ())) in
+      let extra =
+        List.init (n + Random.State.int rng (2 * n)) (fun _ ->
+            match Random.State.int rng 4 with
+            | 0 -> let v = Random.State.int rng n in (v, v, w ())
+            | 1 -> let u, v, _ = List.nth tree (Random.State.int rng (n - 1)) in (u, v, w ())
+            | _ -> (Random.State.int rng n, Random.State.int rng n, w ()))
+      in
+      let g = Digraph.create ~directed:false n (tree @ extra) in
+      let g_ref = Girth_ref.girth g in
+      let girth ?repeats mode =
+        (Girth.undirected ~mode ?repeats ~seed g ~metrics:(Metrics.create ())).Girth.girth
+      in
+      girth `PerEdge = g_ref && girth ~repeats:4 `Charged >= g_ref)
+
+(* ------------------------------------------------------------------ *)
+(* Goldens: girth values, trial counts, label bytes and metrics JSON,
+   captured before the centralized inner loops of Girth and Dl.build were
+   rewritten; a speedup there must leave every one byte-identical *)
+
+let golden_girth_cases =
+  let ptk =
+    Generators.random_weights ~seed:96 ~max_weight:9
+      (Generators.partial_k_tree ~seed:96 96 3 ~keep:0.6)
+  in
+  [
+    ( "charged ptk n=96",
+      (fun m -> Girth.undirected ~mode:`Charged ~seed:1 ptk ~metrics:m),
+      (5, 88,
+        {|{"rounds":350978,"messages":0,"words":0,"delivered":0,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"girth/trials":346368,"girth/cdl":3936,"treedec/level":534,"treedec/ccd":140}}|}) );
+    ( "charged apex cliques 16x4",
+      (fun m ->
+        Girth.undirected ~mode:`Charged ~repeats:3 ~seed:1
+          (Generators.apex_cliques ~cliques:16 ~size:4) ~metrics:m),
+      (3, 24,
+        {|{"rounds":14642,"messages":0,"words":0,"delivered":0,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"girth/trials":13920,"girth/cdl":580,"treedec/level":114,"treedec/ccd":28}}|}) );
+    ( "per-edge grid 4x4",
+      (fun m ->
+        Girth.undirected ~mode:`PerEdge ~seed:1
+          (Generators.random_weights ~seed:4 ~max_weight:9 (Generators.grid 4 4)) ~metrics:m),
+      (13, 24,
+        {|{"rounds":31050,"messages":0,"words":0,"delivered":0,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"girth/trials":29624,"girth/cdl":1288,"treedec/level":98,"treedec/ccd":40}}|}) );
+  ]
+
+let golden_girth run (girth, trials, json) () =
+  let m = Metrics.create () in
+  let r = run m in
+  check_int "girth" girth r.Girth.girth;
+  check_int "trials" trials r.Girth.trials;
+  Alcotest.(check string) "metrics json" json (Metrics.to_json m)
+
+let labels_digest labels =
+  let buf = Buffer.create 65536 in
+  Array.iter (fun la -> Buffer.add_string buf (Labeling.to_string la ^ "\n")) labels;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_label_cases =
+  let decomposition g =
+    (Build.decompose ~seed:1 g ~metrics:(Metrics.create ())).Build.decomposition
+  in
+  let dl g m = Dl.build g (decomposition g) ~metrics:m in
+  let coloured =
+    Digraph.with_labels
+      (Generators.bidirect ~seed:96 ~max_weight:9
+         (Generators.partial_k_tree ~seed:96 96 3 ~keep:0.6))
+      (fun e -> Hashtbl.hash (96, e.Digraph.id) mod 3)
+  in
+  let cdl spec m =
+    Cdl.labels (Cdl.build ~dec:(decomposition coloured) ~seed:1 coloured spec ~metrics:m)
+  in
+  [
+    ( "dl directed ptk n=256",
+      dl
+        (Generators.bidirect ~seed:256 ~max_weight:9
+           (Generators.partial_k_tree ~seed:256 256 3 ~keep:0.6)),
+      ("0e76fa0cf01c3418963a49409c1a702e",
+        {|{"rounds":252,"messages":4544,"words":4544,"delivered":4544,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"dl/level":224,"bfs-tree":28}}|}) );
+    ( "dl undirected 2-tree",
+      dl (Generators.random_weights ~seed:128 ~max_weight:9 (Generators.k_tree ~seed:128 128 2)),
+      ("e218564864e2e6baf52e0c65e883c523",
+        {|{"rounds":126,"messages":1518,"words":1518,"delivered":1518,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"dl/level":108,"bfs-tree":18}}|}) );
+    ( "dl wheel n=200",
+      dl (Generators.wheel 200),
+      ("6ca140b3db96513add210bac0ac2d6ae",
+        {|{"rounds":224,"messages":3980,"words":3980,"delivered":3980,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"dl/level":204,"bfs-tree":20}}|}) );
+    ( "cdl parity",
+      cdl Stateful.parity,
+      ("03a32cf30d30f760e9f84e6be7137919", {|{"rounds":8712,"messages":72240,"words":0,"delivered":0,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"cdl/simulated":8712}}|}) );
+    ( "cdl count:2",
+      cdl (Stateful.count ~limit:2),
+      ("b82604a8d41229a266847dcb64c8881f", {|{"rounds":13630,"messages":129240,"words":0,"delivered":0,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"cdl/simulated":13630}}|}) );
+    ( "cdl colored:3",
+      cdl (Stateful.colored ~colors:3),
+      ("2dea34fb752c5f49d9dcda0bad99d105", {|{"rounds":15340,"messages":123720,"words":0,"delivered":0,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"cdl/simulated":15340}}|}) );
+  ]
+
+let golden_labels run (digest, json) () =
+  let m = Metrics.create () in
+  let labels = run m in
+  Alcotest.(check string) "label digest" digest (labels_digest labels);
+  Alcotest.(check string) "metrics json" json (Metrics.to_json m)
+
 
 (* ------------------------------------------------------------------ *)
 (* DFA-based stateful constraints *)
@@ -617,7 +729,14 @@ let test_girth_witness_acyclic () =
 
 let () =
   let qsuite =
-    List.map QCheck_alcotest.to_alcotest [ prop_dl_exact; prop_product_matches_brute_force; prop_matching_maximum; prop_girth_peredge_exact ]
+    List.map QCheck_alcotest.to_alcotest
+      [
+        prop_dl_exact;
+        prop_product_matches_brute_force;
+        prop_matching_maximum;
+        prop_girth_peredge_exact;
+        prop_girth_multigraph;
+      ]
   in
   Alcotest.run "repro_core"
     [
@@ -695,5 +814,13 @@ let () =
           Alcotest.test_case "directed" `Quick test_girth_witness_directed;
           Alcotest.test_case "acyclic" `Quick test_girth_witness_acyclic;
         ] );
+      ( "golden girth",
+        List.map
+          (fun (name, run, expected) -> Alcotest.test_case name `Quick (golden_girth run expected))
+          golden_girth_cases );
+      ( "golden labels",
+        List.map
+          (fun (name, run, expected) -> Alcotest.test_case name `Quick (golden_labels run expected))
+          golden_label_cases );
       ("properties", qsuite);
     ]
