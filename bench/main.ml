@@ -5,8 +5,7 @@
 
    Usage:
      dune exec bench/main.exe             -- run every experiment
-     dune exec bench/main.exe -- E2b E5b  -- run selected experiments
-     dune exec bench/main.exe -- micro    -- wall-clock micro-benches only *)
+     dune exec bench/main.exe -- E2b E5b  -- run selected experiments *)
 
 module Digraph = Repro_graph.Digraph
 module Traversal = Repro_graph.Traversal
@@ -21,7 +20,6 @@ module Fault = Repro_congest.Fault
 module Recovery = Repro_congest.Recovery
 module Apsp = Repro_congest.Apsp
 module Part = Repro_shortcut.Part
-module Pa = Repro_shortcut.Pa
 module Primitives = Repro_shortcut.Primitives
 module Decomposition = Repro_treedec.Decomposition
 module Heuristic = Repro_treedec.Heuristic
@@ -38,8 +36,6 @@ module Engine = Repro_congest.Engine
 module Detector = Repro_congest.Detector
 module Async_engine = Repro_congest.Async_engine
 module Store = Repro_serve.Store
-module Query = Repro_serve.Query
-module Cache = Repro_serve.Cache
 
 let log2f x = log (float_of_int (max 2 x)) /. log 2.0
 
@@ -897,124 +893,10 @@ let ef4 () =
     families
 
 (* ------------------------------------------------------------------ *)
-(* Wall-clock micro-benchmarks (Bechamel) *)
-
-let micro () =
-  header "micro: wall-clock micro-benchmarks of hot paths (Bechamel)" "informational";
-  let open Bechamel in
-  let g = Generators.k_tree ~seed:21 200 3 in
-  let gw = Generators.bidirect ~seed:21 ~max_weight:9 g in
-  let tests =
-    [
-      Test.make ~name:"dijkstra n=200 k-tree"
-        (Staged.stage (fun () -> ignore (Shortest_path.dijkstra gw 0)));
-      Test.make ~name:"min-fill n=200"
-        (Staged.stage (fun () -> ignore (Heuristic.min_fill g)));
-      Test.make ~name:"pa aggregate 8 parts"
-        (Staged.stage (fun () ->
-             let p200 = Generators.path 200 in
-             let parts =
-               Part.make p200
-                 (Array.init 8 (fun i -> Array.init 25 (fun j -> (i * 25) + j)))
-             in
-             let m = Metrics.create () in
-             ignore
-               (Pa.aggregate parts ~op:( + )
-                  ~value:(fun ~part:_ ~vertex -> vertex)
-                  ~metrics:m ~label:"pa")));
-      Test.make ~name:"product build colored-2"
-        (Staged.stage (fun () ->
-             ignore (Repro_core.Product.build g (Stateful.colored ~colors:2))));
-      Test.make ~name:"hopcroft-karp grid 10x10"
-        (Staged.stage (fun () -> ignore (Matching_ref.hopcroft_karp (Generators.grid 10 10))));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      Hashtbl.iter
-        (fun name raw ->
-          let ols =
-            Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-          in
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> Printf.printf "   %-32s %12.0f ns/run\n" name t
-          | _ -> Printf.printf "   %-32s (no estimate)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* EObs: trace-layer cost — zero when disabled (Bechamel) *)
-
-let eobs () =
-  header "EObs: trace-layer overhead (Bechamel)"
-    "with the null sink the guarded emit path allocates zero words and costs ~1 ns \
-     per site; a full engine run with tracing off matches the untraced engine";
-  let open Bechamel in
-  let module Sink = Repro_obs.Sink in
-  let module Recorder = Repro_obs.Recorder in
-  (* the exact pattern every engine emit site compiles to: test the
-     [enabled] flag, only then build the event. With the null sink the
-     event constructor must never run, so the loop is allocation-free;
-     test_obs "allocation" gates that, and the async twin, at exactly 0. *)
-  let emit_loop sink =
-    Staged.stage (fun () ->
-        let tracing = sink.Sink.enabled in
-        for i = 0 to 999 do
-          if tracing then
-            Sink.emit sink (Repro_obs.Event.Send { round = i; src = 0; dst = 1; words = 2 })
-        done)
-  in
-  let recorder = Recorder.create ~capacity:(1 lsl 16) () in
-  let tests =
-    [
-      Test.make ~name:"1000 emit sites, sink disabled" (emit_loop Sink.null);
-      Test.make ~name:"1000 emit sites, recording" (emit_loop (Recorder.sink recorder));
-      Test.make ~name:"bfs n=200 k-tree, tracing off"
-        (Staged.stage (fun () ->
-             let g = Generators.k_tree ~seed:21 200 3 in
-             let m = Metrics.create () in
-             ignore (Bfs_tree.build g ~root:0 ~metrics:m)));
-      Test.make ~name:"bfs n=200 k-tree, async, tracing off"
-        (Staged.stage (fun () ->
-             Async_engine.forced := true;
-             Fun.protect ~finally:(fun () -> Async_engine.forced := false)
-               (fun () ->
-                 let g = Generators.k_tree ~seed:21 200 3 in
-                 let m = Metrics.create () in
-                 ignore (Bfs_tree.build g ~root:0 ~metrics:m))));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  List.iter
-    (fun (unit_name, instance) ->
-      List.iter
-        (fun test ->
-          let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-          Hashtbl.iter
-            (fun name raw ->
-              let ols =
-                Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-              in
-              let est = Analyze.one ols instance raw in
-              match Analyze.OLS.estimates est with
-              | Some [ t ] -> Printf.printf "   %-36s %12.1f %s/run\n" name t unit_name
-              | _ -> Printf.printf "   %-36s (no estimate)\n" name)
-            results)
-        tests)
-    [
-      ("ns", Toolkit.Instance.monotonic_clock);
-      ("mw", Toolkit.Instance.minor_allocated);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E-S1: label serving — store size vs the Theorem-2 bound and batch
-   query throughput with the hot-pair cache. Rows flush to
-   BENCH_serve.json (same shape as BENCH_faults.json) so CI can gate
-   on size ratios and warm-vs-cold throughput without scraping. *)
+(* E-S1: label serving — store size vs the Theorem-2 bound. Rows flush
+   to BENCH_serve.json (same shape as BENCH_faults.json) so CI can read
+   the size ratios without scraping. Query throughput is measured by
+   bench/perf's serve-hot and serve-cold workloads. *)
 
 let serve_rows : string list ref = ref []
 
@@ -1036,9 +918,9 @@ let flush_serve_json () =
   end
 
 let es1 () =
-  header "E-S1: label serving — store size and query throughput (Theorem 2 deployed)"
-    "binary store >= 4x smaller than the legacy text format on the E2b instances, \
-     bits/label tracking tau^2 log^2 n; warm hot-pair cache >= cold throughput";
+  header "E-S1: label serving — store size (Theorem 2 deployed)"
+    "binary store >= 4x smaller than one text line per label on the E2b instances, \
+     bits/label tracking tau^2 log^2 n";
   let e2b_instance (family, n) =
     let g =
       match family with
@@ -1062,18 +944,13 @@ let es1 () =
   List.iter
     (fun (name, n, g, labels) ->
       let bin = Filename.temp_file "bench_serve" ".bin" in
-      let txt = Filename.temp_file "bench_serve" ".txt" in
       Store.save bin labels;
-      Dl.save_text txt labels;
       let bin_size = Store.byte_size (Store.open_ bin) in
-      let txt_size =
-        let ic = open_in_bin txt in
-        let s = in_channel_length ic in
-        close_in ic;
-        s
-      in
       Sys.remove bin;
-      Sys.remove txt;
+      (* the text baseline: one [Labeling.to_string] line per label *)
+      let txt_size =
+        Array.fold_left (fun acc la -> acc + String.length (Labeling.to_string la) + 1) 0 labels
+      in
       let tau = Heuristic.degeneracy g in
       let ratio = float_of_int txt_size /. float_of_int bin_size in
       let bits_per_label = 8.0 *. float_of_int bin_size /. float_of_int n in
@@ -1097,104 +974,7 @@ let es1 () =
         (cell 6 (Printf.sprintf "%.2fx" ratio))
         (cell 11 (Printf.sprintf "%.1f" bits_per_label))
         (cell 13 (Printf.sprintf "%.0f" bound)))
-    built;
-  (* throughput: a 10^5-query stream per instance, 80% drawn from a
-     64-pair hot set (what the LRU is for), cold = cache disabled vs
-     warm = 4096-entry cache pre-warmed by one pass. Latency
-     percentiles are over 64-query batches — single queries sit at the
-     clock's resolution. *)
-  Printf.printf "\n";
-  table_header
-    [
-      cell 14 "family"; cell 5 "n"; cell 5 "mode"; cell 10 "queries/s"; cell 9 "p50 us/q";
-      cell 9 "p99 us/q"; cell 8 "hits"; cell 8 "misses";
-    ];
-  let n_queries = 100_000 in
-  let make_queries n cdl rng =
-    let hot =
-      Array.init 64 (fun _ -> (Random.State.int rng n, Random.State.int rng n))
-    in
-    Array.init n_queries (fun _ ->
-        let u, v =
-          if Random.State.int rng 100 < 80 then hot.(Random.State.int rng 64)
-          else (Random.State.int rng n, Random.State.int rng n)
-        in
-        match cdl with
-        | Some q_size when Random.State.bool rng ->
-            Query.Cdl { u; v; q = Random.State.int rng q_size }
-        | _ -> Query.Dist { u; v })
-  in
-  let run_stream src queries cache =
-    let nq = Array.length queries in
-    let nbatches = (nq + 63) / 64 in
-    let lat = Array.make nbatches 0.0 in
-    let t0 = Unix.gettimeofday () in
-    for b = 0 to nbatches - 1 do
-      let lo = b * 64 and hi = min nq ((b + 1) * 64) in
-      let bt = Unix.gettimeofday () in
-      for i = lo to hi - 1 do
-        ignore (Query.answer ~cache src queries.(i))
-      done;
-      lat.(b) <- (Unix.gettimeofday () -. bt) *. 1e6 /. float_of_int (hi - lo)
-    done;
-    let total = Unix.gettimeofday () -. t0 in
-    Array.sort compare lat;
-    (float_of_int nq /. total, lat.(nbatches / 2), lat.(nbatches * 99 / 100))
-  in
-  let throughput (name, n, _, labels) ~cdl =
-    let bin = Filename.temp_file "bench_serve" ".bin" in
-    (match cdl with
-    | Some (spec, cdl_labels) ->
-        Store.save bin labels ~cdl:(spec.Stateful.q_size, spec.Stateful.start, cdl_labels)
-    | None -> Store.save bin labels);
-    let st = Store.open_ bin in
-    let src = Query.of_store st in
-    let rng = Random.State.make [| n; 0x51 |] in
-    let queries =
-      make_queries n (Option.map (fun (s, _) -> s.Stateful.q_size) cdl) rng
-    in
-    let arms =
-      [ ("cold", Cache.create 0); ("warm", Cache.create 4096) ]
-    in
-    List.iter
-      (fun (mode, cache) ->
-        if Cache.capacity cache > 0 then begin
-          (* warm the cache with one untimed pass, then zero counters *)
-          Array.iter (fun q -> ignore (Query.answer ~cache src q)) queries;
-          Cache.flush cache (Metrics.create ())
-        end;
-        let qps, p50, p99 = run_stream src queries cache in
-        serve_row
-          ~scenario:(Printf.sprintf "%s n=%d %s" name n mode)
-          [
-            ("n", string_of_int n);
-            ("queries", string_of_int n_queries);
-            ("cdl_mix", string_of_bool (cdl <> None));
-            ("qps", Printf.sprintf "%.0f" qps);
-            ("p50_us", Printf.sprintf "%.3f" p50);
-            ("p99_us", Printf.sprintf "%.3f" p99);
-            ("cache_hits", string_of_int (Cache.hits cache));
-            ("cache_misses", string_of_int (Cache.misses cache));
-            ("cache_evictions", string_of_int (Cache.evictions cache));
-          ];
-        Printf.printf "   %s | %s | %s | %s | %s | %s | %s | %s\n" (cell 14 name)
-          (cell 5 (string_of_int n))
-          (cell 5 mode)
-          (cell 10 (Printf.sprintf "%.0f" qps))
-          (cell 9 (Printf.sprintf "%.3f" p50))
-          (cell 9 (Printf.sprintf "%.3f" p99))
-          (cell 8 (string_of_int (Cache.hits cache)))
-          (cell 8 (string_of_int (Cache.misses cache))))
-      arms;
-    Sys.remove bin
-  in
-  List.iter (fun inst -> throughput inst ~cdl:None) built;
-  (* one mixed DIST+CDL instance: hash-colored edges, count:1 constraint *)
-  let name, n, g, labels = e2b_instance (`Ptk, 128) in
-  let g = Digraph.with_labels g (fun e -> Hashtbl.hash (e.Digraph.id, 0x5e3) mod 2) in
-  let spec = Stateful.count ~limit:1 in
-  let c = Cdl.build ~seed:2 g spec ~metrics:(Metrics.create ()) in
-  throughput (name ^ " +cdl", n, g, labels) ~cdl:(Some (spec, Cdl.labels c))
+    built
 
 (* ------------------------------------------------------------------ *)
 
@@ -1203,9 +983,7 @@ let experiments =
     ("E1", e1); ("E2a", e2a); ("E2b", e2b); ("E3", e3); ("E4", e4);
     ("E5a", e5a); ("E5b", e5b); ("E6a", e6a); ("E6b", e6b); ("E6c", e6c); ("E6d", e6d);
     ("E7", e7); ("E8", e8); ("EF1", ef1); ("EF2", ef2); ("EF3", ef3); ("EF4", ef4);
-    ("EObs", eobs);
     ("ES1", es1);
-    ("micro", micro);
   ]
 
 let () =

@@ -2,14 +2,15 @@
 
    precompute: generate (or --input) a graph, run the distributed
    pipeline (Theorem 1 + Theorem 2) and save every node's label — the
-   "deployment" artifact of a distance labeling scheme. --format picks
-   the legacy text format or the bit-packed binary store; the binary
-   store can also carry CDL product labels for a --constraint.
+   "deployment" artifact of a distance labeling scheme — to the
+   bit-packed store, optionally with the CDL product labels of a
+   --constraint.
 
-   query: load a label file and answer distance queries from labels
-   alone, without the graph. Malformed pair specs are usage errors:
-   a message naming the bad field, exit code 2 (the --partition /
-   --straggle idiom).
+   query: open a store and answer distance queries from labels alone,
+   without the graph. Malformed pair specs are usage errors: a message
+   naming the bad field, exit code 2 (the --partition / --straggle
+   idiom). A file that is not a store fails its magic check: a data
+   error, exit 1.
 
    serve: the query engine as a batch/stream server — newline-delimited
    "DIST u v" / "CDL u v q" requests from a file or stdin, one answer
@@ -19,7 +20,6 @@
 module Digraph = Repro_graph.Digraph
 module Metrics = Repro_congest.Metrics
 module Build = Repro_treedec.Build
-module Labeling = Repro_core.Labeling
 module Dl = Repro_core.Dl
 module Stateful = Repro_core.Stateful
 module Cdl = Repro_core.Cdl
@@ -59,7 +59,7 @@ let parse_constraint s =
   | [ "colored"; c ] -> int_field 2 "COLORS" c (fun c -> Stateful.colored ~colors:c)
   | _ -> usage_error "bad --constraint %S; expected %s" s constraint_grammar
 
-let precompute g out format constraint_ edge_labels fc obs =
+let precompute g out constraint_ edge_labels fc obs =
   Cli_common.setup_obs obs;
   Cli_common.print_graph_summary g;
   Cli_common.print_fault_config fc;
@@ -84,49 +84,30 @@ let precompute g out format constraint_ edge_labels fc obs =
   let m = Metrics.create () in
   let report = Build.decompose g ~metrics:m in
   let labels = Dl.build g report.Build.decomposition ~metrics:m in
-  (match (format, spec) with
-  | `Text, Some _ ->
-      usage_error "--constraint requires --format binary (the text format predates CDL serving)"
-  | `Text, None ->
-      Dl.save_text out labels;
-      Format.printf "wrote %d labels (max %d words) to %s after %d simulated rounds@."
-        (Array.length labels) (Dl.max_label_words labels) out (Metrics.rounds m)
-  | `Binary, spec ->
-      let cdl =
-        Option.map
-          (fun spec ->
-            let c = Cdl.build ~seed:2 g spec ~metrics:m in
-            (spec.Stateful.q_size, spec.Stateful.start, Cdl.labels c))
-          spec
-      in
-      Store.save out labels ?cdl;
-      let st = Store.open_ out in
-      Format.printf
-        "wrote %d labels%s to %s (%d bytes, %d anchor pools) after %d simulated rounds@."
-        (Array.length labels)
-        (match cdl with
-        | Some (_, _, pl) -> Printf.sprintf " + %d CDL labels" (Array.length pl)
-        | None -> "")
-        out (Store.byte_size st) (Store.pool_count st) (Metrics.rounds m));
+  let cdl =
+    Option.map
+      (fun spec ->
+        let c = Cdl.build ~seed:2 g spec ~metrics:m in
+        (spec.Stateful.q_size, spec.Stateful.start, Cdl.labels c))
+      spec
+  in
+  Store.save out labels ?cdl;
+  let st = Store.open_ out in
+  Format.printf
+    "wrote %d labels%s to %s (%d bytes, %d anchor pools) after %d simulated rounds@."
+    (Array.length labels)
+    (match cdl with
+    | Some (_, _, pl) -> Printf.sprintf " + %d CDL labels" (Array.length pl)
+    | None -> "")
+    out (Store.byte_size st) (Store.pool_count st) (Metrics.rounds m);
   Cli_common.metrics_json obs ~name:"precompute" m
 
-(* a label file is whatever precompute wrote: sniff the store magic,
-   fall back to the legacy text format *)
+(* a file that cannot be read is a usage error; one that is not a
+   store raises Store.Error, which store_guard turns into exit 1 *)
 let load_source path =
-  let looks_binary =
-    let ic = try open_in_bin path with Sys_error e -> usage_error "--labels: %s" e in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let ml = String.length Store.magic in
-        in_channel_length ic >= ml && String.equal (really_input_string ic ml) Store.magic)
-  in
-  if looks_binary then Query.of_store (Store.open_ path)
-  else
-    match Dl.load_text path with
-    | labels -> Query.of_text labels
-    | exception Dl.Parse_error { file; line; msg } ->
-        usage_error "%s: line %d: %s" file line msg
+  match Store.open_ path with
+  | st -> Query.of_store st
+  | exception Sys_error e -> usage_error "--labels: %s" e
 
 let pair_grammar = "U,V with two vertex ids"
 
@@ -183,17 +164,11 @@ let serve labels_path input cache_size obs =
 
 let out_t =
   Arg.(
-    value & opt string "labels.txt"
-    & info [ "out" ] ~docv:"FILE" ~doc:"Label file to write.")
-
-let format_t =
-  Arg.(
-    value
-    & opt (enum [ ("text", `Text); ("binary", `Binary) ]) `Text
-    & info [ "format" ] ~docv:"FORMAT"
+    value & opt string "labels.bin"
+    & info [ "out" ] ~docv:"FILE"
         ~doc:
-          "Label file format: $(b,text) (legacy, line-per-label) or $(b,binary) (bit-packed \
-           store with anchor-set pooling and per-shard checksums).")
+          "Label store to write (bit-packed, with anchor-set pooling and per-shard \
+           checksums).")
 
 let constraint_t =
   Arg.(
@@ -202,8 +177,7 @@ let constraint_t =
     & info [ "constraint" ] ~docv:"SPEC"
         ~doc:
           (Printf.sprintf
-             "Also build and store CDL product labels for this walk constraint (%s). Needs \
-              $(b,--format binary)."
+             "Also build and store CDL product labels for this walk constraint (%s)."
              constraint_grammar))
 
 let edge_labels_t =
@@ -215,8 +189,8 @@ let edge_labels_t =
 
 let labels_t =
   Arg.(
-    value & opt string "labels.txt"
-    & info [ "labels" ] ~docv:"FILE" ~doc:"Label file to read (text or binary store).")
+    value & opt string "labels.bin"
+    & info [ "labels" ] ~docv:"FILE" ~doc:"Label store to read (as written by $(b,precompute)).")
 
 let pairs_t =
   Arg.(value & pos_all string [] & info [] ~docv:"U,V" ~doc:"Query pairs, e.g. 0,7 3,12.")
@@ -238,19 +212,19 @@ let precompute_cmd =
   Cmd.v
     (Cmd.info "precompute" ~doc:"Build labels for a graph and save them")
     Term.(
-      const precompute $ Cli_common.graph_t $ out_t $ format_t $ constraint_t $ edge_labels_t
+      const precompute $ Cli_common.graph_t $ out_t $ constraint_t $ edge_labels_t
       $ Cli_common.fault_config_t $ Cli_common.obs_t)
 
 let query_cmd =
   Cmd.v
-    (Cmd.info "query" ~doc:"Answer distance queries from a label file")
+    (Cmd.info "query" ~doc:"Answer distance queries from a label store")
     Term.(const query $ labels_t $ pairs_t)
 
 let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Serve DIST/CDL queries from a label file, batch ($(b,--queries)) or stream (stdin)")
+         "Serve DIST/CDL queries from a label store, batch ($(b,--queries)) or stream (stdin)")
     Term.(const serve $ labels_t $ queries_t $ cache_t $ Cli_common.obs_t)
 
 let cmd =

@@ -95,8 +95,3 @@ let build_certified ?faults ?jitter_seed ?period ?timeout ?max_retries skeleton 
       ~metrics ~label:"bfs-tree" ()
   in
   (tree_of_states ~root result.D.states, D.verdict result skeleton ~root)
-
-let children t v =
-  let out = ref [] in
-  Array.iteri (fun u p -> if p = v && u <> v then out := u :: !out) t.parent;
-  List.rev !out

@@ -48,6 +48,3 @@ val build_certified :
   root:int ->
   metrics:Metrics.t ->
   tree * Detector.verdict
-
-(** [children t v] lists the tree children of [v]. O(n) per call. *)
-val children : tree -> int -> int list

@@ -23,6 +23,3 @@ let bindings tbl ~compare:cmp =
   |> List.sort (fun (ka, _) (kb, _) -> cmp ka kb)
 
 let iter_sorted tbl ~compare:cmp f = List.iter (fun (k, v) -> f k v) (bindings tbl ~compare:cmp)
-
-let fold_sorted tbl ~compare:cmp f init =
-  List.fold_left (fun acc (k, v) -> f k v acc) init (bindings tbl ~compare:cmp)

@@ -15,6 +15,3 @@ val exists : ('k -> 'v -> bool) -> ('k, 'v) Hashtbl.t -> bool
 val bindings : ('k, 'v) Hashtbl.t -> compare:('k -> 'k -> int) -> ('k * 'v) list
 
 val iter_sorted : ('k, 'v) Hashtbl.t -> compare:('k -> 'k -> int) -> ('k -> 'v -> unit) -> unit
-
-val fold_sorted :
-  ('k, 'v) Hashtbl.t -> compare:('k -> 'k -> int) -> ('k -> 'v -> 'acc -> 'acc) -> 'acc -> 'acc

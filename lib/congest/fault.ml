@@ -31,19 +31,6 @@ type profile = {
   skew : int;
 }
 
-let reliable =
-  {
-    drop = 0.0;
-    duplicate = 0.0;
-    max_delay = 0;
-    corrupt = 0.0;
-    crashes = [];
-    partitions = [];
-    stragglers = [];
-    link_latency = 0;
-    skew = 0;
-  }
-
 let crash ?until ?(mode = Freeze) ~from node =
   { node; from_round = from; until_round = until; mode }
 
@@ -108,8 +95,6 @@ let profile ?(drop = 0.0) ?(duplicate = 0.0) ?(max_delay = 0) ?(corrupt = 0.0)
 (* A copy's fate once it survives the partition check: how many extra
    rounds it is held, and whether its payload is garbled in flight. *)
 type fate = { extra : int; corrupt : bool }
-
-let intact extra = { extra; corrupt = false }
 
 (* Two ways to decide message fates: the seeded random process, or a
    recorded schedule being replayed (Repro_obs.Replay feeds one in via

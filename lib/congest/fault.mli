@@ -121,11 +121,8 @@ type profile = {
   skew : int;  (** max per-node virtual-clock offset at pulse 0; >= 0. *)
 }
 
-(** All-zero profile (the adversary does nothing). *)
-val reliable : profile
-
 (** [profile ()] builds a profile from the given dimensions; everything
-    omitted defaults to the {!reliable} value.
+    omitted defaults to zero or empty (the adversary does nothing).
 
     @raise Invalid_argument if a probability is outside [0, 1),
     [max_delay] is negative, a crash or partition window is inverted, or
@@ -146,10 +143,6 @@ val profile :
 (** The fate of one surviving message copy: held [extra] extra rounds
     ([0] = normal next-round delivery), payload garbled iff [corrupt]. *)
 type fate = { extra : int; corrupt : bool }
-
-(** [intact d] is [{ extra = d; corrupt = false }] — the fate of an
-    unmolested (possibly delayed) copy. *)
-val intact : int -> fate
 
 type t
 

@@ -208,44 +208,3 @@ let build g dec ~metrics =
 
 let max_label_words labels =
   Array.fold_left (fun acc la -> max acc (Labeling.size_words la)) 0 labels
-
-(* ------------------------------------------------------------------ *)
-(* Legacy text persistence: one label per line ([Labeling.to_string]).
-   The original deployment format of labels_cli — human-readable and
-   diff-able, but ~3 decimal words per entry. The bit-packed store in
-   lib/serve supersedes it for size and O(1) seek (DESIGN §3h); both
-   formats sit behind [Serve.Store.save]/[load]. *)
-
-exception Parse_error of { file : string; line : int; msg : string }
-
-let () =
-  Printexc.register_printer (function
-    | Parse_error { file; line; msg } ->
-        Some (Printf.sprintf "Dl.Parse_error(%s:%d: %s)" file line msg)
-    | _ -> None)
-
-let save_text path labels =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Array.iter (fun la -> output_string oc (Labeling.to_string la ^ "\n")) labels)
-
-let load_text path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let out = ref [] and lineno = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           if String.trim line <> "" then
-             match Labeling.of_string line with
-             | la -> out := la :: !out
-             | exception Invalid_argument msg ->
-                 raise (Parse_error { file = path; line = !lineno; msg })
-         done
-       with End_of_file -> ());
-      Array.of_list (List.rev !out))

@@ -24,18 +24,3 @@ val build :
 (** [max_label_words labels] is the largest label size in words —
     the quantity Theorem 2 bounds. *)
 val max_label_words : Labeling.t array -> int
-
-(** Raised by {!load_text} on a malformed label line, with its position
-    (never a bare [Failure]). *)
-exception Parse_error of { file : string; line : int; msg : string }
-
-(** [save_text path labels] writes the legacy one-label-per-line text
-    format ({!Labeling.to_string}). The bit-packed binary store of
-    [Repro_serve.Store] supersedes it for size and seek; both formats
-    load through the same store interface. *)
-val save_text : string -> Labeling.t array -> unit
-
-(** [load_text path] reads a legacy text label file (blank lines
-    skipped).
-    @raise Parse_error on a malformed line. *)
-val load_text : string -> Labeling.t array

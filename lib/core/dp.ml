@@ -64,7 +64,6 @@ let max_bag_size (t : Nice.t) =
 (* Maximum weight independent set *)
 
 let max_weight_independent_set ?weights g nice ~metrics =
-  let n = Digraph.n g in
   let w v = match weights with Some ws -> ws.(v) | None -> 1 in
   let adj = adjacency g in
   let bmax = max_bag_size nice in
@@ -152,7 +151,6 @@ let max_weight_independent_set ?weights g nice ~metrics =
     witness;
   let wsum = List.fold_left (fun acc v -> acc + w v) 0 witness in
   if wsum <> value then witness_failure "mis: witness weighs %d, table says %d" wsum value;
-  ignore n;
   let table_words = 1 lsl bmax in
   charge g nice ~table_words ~metrics ~label:"dp/mis";
   { value; witness; table_words }

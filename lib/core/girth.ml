@@ -176,10 +176,6 @@ let undirected ?(mode = `Charged) ?repeats ?dec ?(seed = 0) ?faults ?reliable g 
         scales);
   { girth = !best; trials = !trials }
 
-let run ?(mode = `Charged) ?(seed = 0) ?faults ?reliable g ~metrics =
-  if Digraph.directed g then directed ~seed ?faults ?reliable g ~metrics
-  else undirected ~mode ~seed ?faults ?reliable g ~metrics
-
 let witness ?(seed = 0) g ~metrics =
   let r =
     if Digraph.directed g then directed ~seed g ~metrics

@@ -58,16 +58,6 @@ val undirected :
   metrics:Repro_congest.Metrics.t ->
   result
 
-(** [run g ~metrics] dispatches on [Digraph.directed g]. *)
-val run :
-  ?mode:mode ->
-  ?seed:int ->
-  ?faults:Repro_congest.Fault.t ->
-  ?reliable:bool ->
-  Repro_graph.Digraph.t ->
-  metrics:Repro_congest.Metrics.t ->
-  result
-
 (** [witness ?seed g ~metrics] additionally reconstructs a shortest
     cycle: [Some (girth, edge ids)] or [None] when acyclic. Uses the
     exact per-edge mode for the value, then extracts the cycle through

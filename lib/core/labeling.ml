@@ -34,7 +34,6 @@ let decode la_u la_v =
   !best
 
 let size_words t = 3 * Hashtbl.length t.entries
-let entry_count t = Hashtbl.length t.entries
 
 let equal a b =
   a.owner = b.owner
@@ -58,21 +57,3 @@ let to_string t =
       Buffer.add_string buf (Printf.sprintf " %d %d %d" a d_to d_from))
     (anchors t);
   Buffer.contents buf
-
-let of_string line =
-  match
-    String.split_on_char ' ' (String.trim line)
-    |> List.filter (( <> ) "")
-    |> List.map int_of_string_opt
-  with
-  | Some owner :: rest ->
-      let t = create owner in
-      let rec go = function
-        | Some a :: Some d_to :: Some d_from :: more ->
-            set t ~anchor:a ~d_to ~d_from;
-            go more
-        | [] -> t
-        | _ -> invalid_arg (Printf.sprintf "Labeling.of_string: malformed entry in %S" line)
-      in
-      go rest
-  | _ -> invalid_arg (Printf.sprintf "Labeling.of_string: missing owner in %S" line)

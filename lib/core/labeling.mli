@@ -47,19 +47,14 @@ val decode : t -> t -> int
     O(tau^2 log^2 n) bits. *)
 val size_words : t -> int
 
-(** [entry_count label] is the number of anchor entries. *)
-val entry_count : t -> int
-
 (** [equal a b] — same owner and exactly the same anchor entries
     (serialization round-trip oracle). *)
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 
-(** [to_string t] serializes the label (one line: owner then
-    anchor/d_to/d_from triples). Round-trips through {!of_string}. *)
+(** [to_string t] prints the label on one line: the owner, then one
+    [anchor d_to d_from] triple per entry in anchor order. A readable
+    rendering (bench E-S1's size baseline), not a persistence format:
+    labels persist only in [Repro_serve.Store]. *)
 val to_string : t -> string
-
-(** @raise Invalid_argument on malformed input ({!Dl.load_text} converts
-    this into a positioned {!Dl.Parse_error}). *)
-val of_string : string -> t

@@ -39,9 +39,6 @@ let build g spec =
 
 let encode t v q = (v * t.spec.Stateful.q_size) + q
 
-let decode_vertex t pv =
-  (pv / t.spec.Stateful.q_size, pv mod t.spec.Stateful.q_size)
-
 let overhead t = t.spec.Stateful.q_size * t.p_max
 
 let constrained_distance t ~q ~src ~dst =

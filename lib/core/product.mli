@@ -22,9 +22,6 @@ val build : Repro_graph.Digraph.t -> Stateful.t -> t
 (** [encode t v q] is the product vertex (v, q). *)
 val encode : t -> int -> int -> int
 
-(** [decode_vertex t pv] is [(v, q)]. *)
-val decode_vertex : t -> int -> int * int
-
 (** [overhead t] is the CONGEST simulation overhead factor |Q| * p_max
     for running algorithms on G_C over the network of G (Section 5.2). *)
 val overhead : t -> int

@@ -43,8 +43,6 @@ let push q prio x =
   q.size <- q.size + 1;
   sift_up q.heap (q.size - 1)
 
-let peek_min q = if q.size = 0 then raise Not_found else q.heap.(0)
-
 let pop_min q =
   if q.size = 0 then raise Not_found;
   let top = q.heap.(0) in

@@ -20,7 +20,3 @@ val push : 'a t -> int -> 'a -> unit
 (** [pop_min q] removes and returns the minimum-priority binding
     [(prio, x)]. @raise Not_found if [q] is empty. *)
 val pop_min : 'a t -> int * 'a
-
-(** [peek_min q] returns the minimum binding without removing it.
-    @raise Not_found if [q] is empty. *)
-val peek_min : 'a t -> int * 'a

@@ -33,7 +33,6 @@ let bfs_gen ~respect_direction g src =
 
 let bfs g src = snd (bfs_gen ~respect_direction:true g src)
 let bfs_undirected g src = snd (bfs_gen ~respect_direction:false g src)
-let bfs_tree g src = bfs_gen ~respect_direction:false g src
 
 let components_mask g mask =
   let n = Digraph.n g in

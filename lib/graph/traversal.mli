@@ -8,10 +8,6 @@ val bfs : Digraph.t -> int -> int array
 (** [bfs_undirected g src] ignores orientation (distances in [[G]]). *)
 val bfs_undirected : Digraph.t -> int -> int array
 
-(** [bfs_tree g src] is [(parent, dist)] of a BFS tree in [[G]] rooted at
-    [src]; [parent.(src) = src], unreachable vertices have parent [-1]. *)
-val bfs_tree : Digraph.t -> int -> int array * int array
-
 (** [components g] labels every vertex with a component id in [[G]];
     returns [(labels, count)]. *)
 val components : Digraph.t -> int array * int

@@ -198,6 +198,13 @@ let fields_of_line line =
     if !pos >= n || line.[!pos] <> c then fail (Printf.sprintf "expected '%c'" c);
     incr pos
   in
+  let hex i =
+    match line.[i] with
+    | '0' .. '9' as c -> Char.code c - Char.code '0'
+    | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+    | _ -> fail "bad hex digit in \\u escape"
+  in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -212,6 +219,16 @@ let fields_of_line line =
             | '"' -> Buffer.add_char buf '"'
             | '\\' -> Buffer.add_char buf '\\'
             | 'n' -> Buffer.add_char buf '\n'
+            | 'u' ->
+                (* [json_escape] writes every other control byte as
+                   [\u00XX]; a code point past ASCII would need a UTF-8
+                   encoding the writer never produces *)
+                if !pos + 5 >= n || line.[!pos + 2] <> '0' || line.[!pos + 3] <> '0' then
+                  fail "unsupported \\u escape";
+                let c = (hex (!pos + 4) * 16) + hex (!pos + 5) in
+                if c >= 0x80 then fail "unsupported \\u escape";
+                Buffer.add_char buf (Char.chr c);
+                pos := !pos + 4
             | c -> fail (Printf.sprintf "unsupported escape '\\%c'" c));
             pos := !pos + 2;
             go ()
@@ -398,5 +415,3 @@ let of_json line =
   | "timing" ->
       Timing { link_latency = int "link_latency"; skew = int "skew"; seed = int "seed" }
   | e -> fail (Printf.sprintf "unknown event kind %S" e)
-
-let pp fmt e = Format.pp_print_string fmt (to_json e)

@@ -125,5 +125,3 @@ val to_json : t -> string
 
 val of_json : string -> t
 (** Inverse of {!to_json}; raises {!Parse_error} on malformed input. *)
-
-val pp : Format.formatter -> t -> unit

@@ -59,10 +59,4 @@ let to_list t =
   let n = Array.length t.buf in
   List.init t.len (fun i -> t.buf.((t.first + i) mod n))
 
-let iter f t =
-  let n = Array.length t.buf in
-  for i = 0 to t.len - 1 do
-    f t.buf.((t.first + i) mod n)
-  done
-
 let sink t = Sink.make (record t)

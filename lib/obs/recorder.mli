@@ -22,7 +22,5 @@ val clear : t -> unit
 val to_list : t -> Event.t list
 (** Events in recording order (oldest first). *)
 
-val iter : (Event.t -> unit) -> t -> unit
-
 val sink : t -> Sink.t
 (** An enabled sink that records into this buffer. *)

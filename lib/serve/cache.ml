@@ -35,9 +35,6 @@ let create capacity =
     evictions = 0;
   }
 
-let capacity t = t.capacity
-let length t = t.len
-
 let unlink t i =
   let p = t.prev.(i) and nx = t.next.(i) in
   if p >= 0 then t.next.(p) <- nx else t.head <- nx;

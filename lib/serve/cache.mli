@@ -8,11 +8,8 @@
 type t
 
 (** [create capacity] — [capacity = 0] disables the cache ({!find}
-    always misses, {!add} is a no-op): the "cold" arm of BENCH_serve. *)
+    always misses, {!add} is a no-op; [labels_cli serve --cache 0]). *)
 val create : int -> t
-
-val capacity : t -> int
-val length : t -> int
 
 (** Returned by {!find} on a miss. Values must not equal [absent]
     ([min_int]) — distances and [Digraph.inf] never do. *)

@@ -19,8 +19,6 @@ let of_store st =
        else None);
   }
 
-let of_text labels = { n = Array.length labels; dist = Array.get labels; cdl = None }
-
 type t = Dist of { u : int; v : int } | Cdl of { u : int; v : int; q : int }
 
 let parse src line =

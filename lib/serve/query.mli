@@ -1,13 +1,12 @@
 (** Query engine: answers DIST / CDL queries from labels alone
     (DESIGN §3h).
 
-    A {!source} abstracts where labels come from — the binary
-    {!Store.t} or the legacy text format ({!Repro_core.Dl.load_text}) —
-    so the server is format-agnostic. Soundness rests on the labels,
-    not the serving layer: a label array produced by the certified
-    pipeline answers every query exactly (Theorem 2 / Theorem 3), and
-    the store's checksums guarantee the served labels are the ones that
-    were certified. *)
+    A {!source} is a set of label lookups: {!of_store} over a persisted
+    {!Store.t}, or a record built over labels held in memory. Soundness
+    rests on the labels, not the serving layer: a label array produced
+    by the certified pipeline answers every query exactly (Theorem 2 /
+    Theorem 3), and the store's checksums guarantee the served labels
+    are the ones that were certified. *)
 
 type cdl_source = {
   q_size : int;
@@ -22,10 +21,6 @@ type source = {
 }
 
 val of_store : Store.t -> source
-
-(** [of_text labels] wraps a legacy text-format label array (distance
-    labels only — the text format predates CDL serving). *)
-val of_text : Repro_core.Labeling.t array -> source
 
 (** {1 Queries} *)
 

@@ -31,10 +31,6 @@ exception Error of error
 
 val pp_error : Format.formatter -> error -> unit
 
-(** The 8-byte file magic ("RSRVLB" + format version) — sniff it to
-    tell a binary store from a legacy text label file. *)
-val magic : string
-
 (** {1 Writing} *)
 
 (** [save path dist] writes the store.

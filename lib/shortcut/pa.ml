@@ -187,7 +187,6 @@ let aggregate ?tree (parts : Part.t) ~op ~value ~metrics ~label =
   let tree =
     match tree with Some t -> t | None -> Bfs_tree.build skeleton ~root:0 ~metrics
   in
-  let original = parts in
   let parts, delegations, delegated = delegate_shared parts in
   (* fold delegated contributions into their receivers *)
   let extra = Hashtbl.create 16 in
@@ -311,7 +310,6 @@ let aggregate ?tree (parts : Part.t) ~op ~value ~metrics ~label =
       !deliveries
   done;
   let delegation_rounds = if delegated then 2 else 0 in
-  ignore original;
   (* race the two routes: Steiner (simulated above) vs intra-part trees;
      a distributed implementation runs both and keeps the first finisher *)
   let rounds_up, rounds_down =

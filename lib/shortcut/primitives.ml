@@ -67,12 +67,6 @@ let cost_mvc c b ~h ~t =
 
 let cost_rounds c = c.dilation + c.congestion
 
-let schedule_costs costs =
-  List.fold_left
-    (fun (dmax, csum) c -> (max dmax c.dilation, csum + c.congestion))
-    (0, 0) costs
-  |> fun (dmax, csum) -> dmax + csum
-
 let schedule_disjoint costs =
   List.fold_left
     (fun (dmax, cmax) c -> (max dmax c.dilation, max cmax c.congestion))

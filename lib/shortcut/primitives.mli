@@ -98,9 +98,6 @@ val cost_mvc : cost -> basis -> h:int -> t:int -> unit
 (** Total rounds of a single cost when run alone. *)
 val cost_rounds : cost -> int
 
-(** Theorem 6: combined rounds of parallel executions. *)
-val schedule_costs : cost list -> int
-
 (** Combined rounds for parallel executions over vertex-disjoint regions:
     their traffic occupies disjoint edge sets, so per-edge congestion does
     not accumulate — [max dilation + max congestion]. *)

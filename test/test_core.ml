@@ -42,32 +42,6 @@ let test_labeling_no_common_anchor () =
   check_int "inf" Digraph.inf (Labeling.decode la_u la_v)
 
 
-let test_labeling_serialization_roundtrip () =
-  let la = Labeling.create 7 in
-  Labeling.set la ~anchor:3 ~d_to:10 ~d_from:12;
-  Labeling.set la ~anchor:9 ~d_to:Digraph.inf ~d_from:0;
-  let la' = Labeling.of_string (Labeling.to_string la) in
-  check_int "owner" 7 (Labeling.owner la');
-  check_bool "entries preserved" true
-    (Labeling.dist_to la' 3 = Some 10 && Labeling.dist_from la' 3 = Some 12
-    && Labeling.dist_to la' 9 = Some Digraph.inf);
-  check_bool "malformed rejected" true
-    (try ignore (Labeling.of_string "7 3 10"); false with Invalid_argument _ -> true)
-
-let test_labels_decode_after_roundtrip () =
-  let g = Generators.random_weights ~seed:51 ~max_weight:9 (Generators.k_tree ~seed:51 20 2) in
-  let m = Metrics.create () in
-  let labels = Dl.build g (Heuristic.min_fill g) ~metrics:m in
-  let labels' =
-    Array.map (fun la -> Labeling.of_string (Labeling.to_string la)) labels
-  in
-  for u = 0 to 19 do
-    for v = 0 to 19 do
-      check_int "same decode" (Labeling.decode labels.(u) labels.(v))
-        (Labeling.decode labels'.(u) labels'.(v))
-    done
-  done
-
 (* ------------------------------------------------------------------ *)
 (* DL exactness *)
 
@@ -744,8 +718,6 @@ let () =
         [
           Alcotest.test_case "decode" `Quick test_labeling_decode;
           Alcotest.test_case "no common anchor" `Quick test_labeling_no_common_anchor;
-          Alcotest.test_case "serialization" `Quick test_labeling_serialization_roundtrip;
-          Alcotest.test_case "decode after roundtrip" `Quick test_labels_decode_after_roundtrip;
         ] );
       ( "distance labeling",
         [

@@ -95,9 +95,28 @@ let test_event_json_roundtrip () =
   (match Event.of_json "{broken" with
   | exception Event.Parse_error _ -> ()
   | _ -> Alcotest.fail "malformed line should raise Parse_error");
-  match Event.of_json {|{"e":"warp","round":1}|} with
+  (match Event.of_json {|{"e":"warp","round":1}|} with
   | exception Event.Parse_error _ -> ()
-  | _ -> Alcotest.fail "unknown event kind should raise Parse_error"
+  | _ -> Alcotest.fail "unknown event kind should raise Parse_error");
+  (* the writer escapes only ASCII control bytes: any other \u escape
+     is malformed *)
+  List.iter
+    (fun esc ->
+      let line = Printf.sprintf {|{"e":"run_start","label":"a%sb","faulty":0}|} esc in
+      match Event.of_json line with
+      | exception Event.Parse_error _ -> ()
+      | _ -> Alcotest.fail (Printf.sprintf "%s should raise Parse_error" line))
+    [ {|\u00e9|}; {|\u0100|}; {|\u00_1|}; {|\u00|} ]
+
+(* [json_escape] writes every control byte but '\n' as \u00XX, so the
+   reader must take any byte string back *)
+let prop_run_start_label_roundtrip =
+  QCheck.Test.make ~name:"of_json (to_json e) = e, Run_start with any byte-string label"
+    ~count:500
+    QCheck.(pair string bool)
+    (fun (label, faulty) ->
+      let e = Event.Run_start { label; faulty } in
+      Event.of_json (Event.to_json e) = e)
 
 let test_trace_io_jsonl_roundtrip () =
   let path = Filename.temp_file "repro_obs" ".jsonl" in
@@ -725,6 +744,7 @@ let () =
         [
           Alcotest.test_case "json roundtrip" `Quick test_event_json_roundtrip;
           Alcotest.test_case "jsonl file roundtrip" `Quick test_trace_io_jsonl_roundtrip;
+          q prop_run_start_label_roundtrip;
         ] );
       ( "recorder",
         [

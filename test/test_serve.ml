@@ -128,11 +128,6 @@ let prop_codec_roundtrip =
   QCheck.Test.make ~name:"binary codec: decode (encode la) = la" ~count:300 arbitrary_label
     (fun la -> Labeling.equal la (Codec.decode (Codec.encode la)))
 
-let prop_text_roundtrip =
-  QCheck.Test.make ~name:"text format: of_string (to_string la) = la" ~count:300
-    arbitrary_label (fun la ->
-      Labeling.equal la (Labeling.of_string (Labeling.to_string la)))
-
 let test_codec_inf_and_empty () =
   let empty = Labeling.create 3 in
   check_bool "empty label" true (Labeling.equal empty (Codec.decode (Codec.encode empty)));
@@ -142,31 +137,6 @@ let test_codec_inf_and_empty () =
   Labeling.set la ~anchor:11 ~d_to:Digraph.inf ~d_from:4;
   check_bool "inf sentinel fields" true (Labeling.equal la (Codec.decode (Codec.encode la)));
   check_bool "bit length positive" true (Codec.encoded_bits la > 0)
-
-(* ------------------------------------------------------------------ *)
-(* Legacy text store (Dl.save_text / load_text) *)
-
-let test_text_store_roundtrip () =
-  let g =
-    Generators.random_weights ~seed:3 ~max_weight:9 (Generators.k_tree ~seed:3 24 2)
-  in
-  let labels = Dl.build g (Heuristic.min_fill g) ~metrics:(Metrics.create ()) in
-  let path = temp_path ".txt" in
-  Dl.save_text path labels;
-  let labels' = Dl.load_text path in
-  check_int "count" (Array.length labels) (Array.length labels');
-  Array.iteri
-    (fun i la -> check_bool "label equal" true (Labeling.equal la labels'.(i)))
-    labels
-
-let test_text_store_parse_error () =
-  let path = temp_path ".txt" in
-  let oc = open_out path in
-  output_string oc "0 1 2 3\n\nnot a label\n";
-  close_out oc;
-  match Dl.load_text path with
-  | _ -> Alcotest.fail "malformed text store accepted"
-  | exception Dl.Parse_error { line; _ } -> check_int "error on line 3" 3 line
 
 (* ------------------------------------------------------------------ *)
 (* Binary store *)
@@ -198,6 +168,20 @@ let test_store_roundtrip () =
     done
   done
 
+(* A label file in the retired text format (one [Labeling.to_string]
+   line per label) is refused by the magic check, never parsed. *)
+let test_text_file_rejected () =
+  let labels = build_labels (small_graph 3 24) in
+  let path = temp_path ".txt" in
+  let oc = open_out path in
+  Array.iter (fun la -> output_string oc (Labeling.to_string la ^ "\n")) labels;
+  close_out oc;
+  match Store.open_ path with
+  | _ -> Alcotest.fail "text label file opened as a store"
+  | exception Store.Error (Store.Format_error msg) ->
+      check_bool "bad magic" true
+        (String.length msg >= 9 && String.equal (String.sub msg 0 9) "bad magic")
+
 (* the >=4x acceptance gate runs on the E2b instances exactly as the
    bench builds them: distributed decomposition, not min-fill *)
 let test_store_smaller_than_text () =
@@ -205,14 +189,13 @@ let test_store_smaller_than_text () =
     (fun g ->
       let report = Build.decompose ~seed:2 g ~metrics:(Metrics.create ()) in
       let labels = Dl.build g report.Build.decomposition ~metrics:(Metrics.create ()) in
-      let bin = temp_path ".bin" and txt = temp_path ".txt" in
+      let bin = temp_path ".bin" in
       Store.save bin labels;
-      Dl.save_text txt labels;
-      let st = Store.open_ bin in
-      let bin_size = Store.byte_size st in
-      let ic = open_in_bin txt in
-      let txt_size = in_channel_length ic in
-      close_in ic;
+      let bin_size = Store.byte_size (Store.open_ bin) in
+      (* one [Labeling.to_string] line per label *)
+      let txt_size =
+        Array.fold_left (fun acc la -> acc + String.length (Labeling.to_string la) + 1) 0 labels
+      in
       check_bool
         (Printf.sprintf "binary %dB >= 4x smaller than text %dB" bin_size txt_size)
         true
@@ -701,7 +684,7 @@ let test_cached_answers_match_uncached () =
 
 let test_query_parse_errors () =
   let labels = build_labels (small_graph 23 16) in
-  let src = Query.of_text labels in
+  let src = { Query.n = Array.length labels; dist = Array.get labels; cdl = None } in
   let expect_err needle line =
     match Query.parse src line with
     | Ok _ -> Alcotest.fail (Printf.sprintf "parse accepted %S" line)
@@ -822,7 +805,7 @@ let test_server_large_stream () =
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_bitio_roundtrip; prop_codec_roundtrip; prop_text_roundtrip; prop_store_fuzz ]
+      [ prop_bitio_roundtrip; prop_codec_roundtrip; prop_store_fuzz ]
   in
   Alcotest.run "repro_serve"
     [
@@ -839,10 +822,7 @@ let () =
           Alcotest.test_case "golden bytes" `Quick test_codec_golden;
         ] );
       ( "text format",
-        [
-          Alcotest.test_case "roundtrip via Dl.save_text" `Quick test_text_store_roundtrip;
-          Alcotest.test_case "typed parse error with line" `Quick test_text_store_parse_error;
-        ] );
+        [ Alcotest.test_case "rejected by Store.open_" `Quick test_text_file_rejected ] );
       ( "store",
         [
           Alcotest.test_case "roundtrip + oracle" `Quick test_store_roundtrip;
