@@ -113,13 +113,20 @@ let stream_down ?faults ?(reliable = false) tree ~items ~metrics =
     tree.Bfs_tree.parent;
   let tree_graph = Digraph.create ~directed:false n !tree_edges in
   let step ~round:_ ~node st inbox =
-    let st =
-      List.fold_left (fun st (_, v) -> { queue = st.queue @ [ v ]; got = v :: st.got }) st inbox
-    in
-    match st.queue with
-    | [] -> (st, [])
-    | item :: rest ->
-        ({ st with queue = rest }, List.map (fun c -> (c, item)) children.(node))
+    match (st.queue, inbox) with
+    | [], [ (_, v) ] ->
+        (* nothing queued: forward the arriving item at once *)
+        ({ queue = []; got = v :: st.got }, List.map (fun c -> (c, v)) children.(node))
+    | _ -> (
+        let st =
+          List.fold_left
+            (fun st (_, v) -> { queue = st.queue @ [ v ]; got = v :: st.got })
+            st inbox
+        in
+        match st.queue with
+        | [] -> (st, [])
+        | item :: rest ->
+            ({ st with queue = rest }, List.map (fun c -> (c, item)) children.(node)))
   in
   let states =
     run_via ~reliable ?faults tree_graph

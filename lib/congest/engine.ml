@@ -34,6 +34,29 @@ module type MSG = sig
   val words : t -> int
 end
 
+(* [List.sort] allocates its local closures even on [[]], and every
+   node-step of every layer orders an inbox; the reversal of a
+   consed inbox costs only the reversed list *)
+let rec strictly_descending = function
+  | (a, _) :: ((b, _) :: _ as rest) -> a > b && strictly_descending rest
+  | _ -> true
+
+let sort_inbox inbox =
+  match inbox with
+  | [] | [ _ ] -> inbox
+  | _ ->
+      if strictly_descending inbox then List.rev inbox
+      else List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) inbox
+
+let rec search nbrs u lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let w = nbrs.(mid) in
+    if w = u then mid else if w < u then search nbrs u (mid + 1) hi else search nbrs u lo mid
+
+let neighbor_index nbrs u = search nbrs u 0 (Array.length nbrs)
+
 module Make (M : MSG) = struct
   type inbox = (int * M.t) list
   type outbox = (int * M.t) list
@@ -44,15 +67,8 @@ module Make (M : MSG) = struct
       invalid_arg "Engine.run: communication network must be undirected";
     let audit = match audit with Some b -> b | None -> !audit_enabled in
     let n = Digraph.n skeleton in
+    (* sorted, so the receiver check is a binary search *)
     let neighbors = Array.init n (Digraph.neighbors skeleton) in
-    let neighbor_sets =
-      Array.map
-        (fun nb ->
-          let tbl = Hashtbl.create 8 in
-          Array.iter (fun u -> Hashtbl.replace tbl u ()) nb;
-          tbl)
-        neighbors
-    in
     let states = Array.init n init in
     (* double-buffered inboxes: both arrays live for the whole run and
        swap roles each round, so the loop never allocates an array *)
@@ -133,9 +149,14 @@ module Make (M : MSG) = struct
     (* a node inside an unbounded stall window behaves like a
        crash-stop: it neither steps nor sends, copies addressed to it
        are dropped, and it is excluded from the liveness check. Only a
-       profile with stragglers can stall a node. *)
+       profile with an unbounded stall can stall a node forever. *)
     let stalls =
-      match faults with Some f -> (Fault.profile_of f).stragglers <> [] | None -> false
+      match faults with
+      | Some f ->
+          List.exists
+            (fun (s : Fault.straggle) -> s.factor = 0 && s.s_until = None)
+            (Fault.profile_of f).stragglers
+      | None -> false
     in
     let down_at ~round v =
       match faults with
@@ -260,11 +281,15 @@ module Make (M : MSG) = struct
       check inbox
     in
     (* round-scoped mutable state, hoisted out of the loop so each
-       round reuses the same cells/table instead of reallocating *)
+       round reuses the same cells instead of reallocating. The
+       one-message-per-link rule is a stamp array: [sent_stamp.(u)] is
+       the number of the last commit that sent to [u], and every commit
+       draws a fresh number. *)
     let sent_this_round = ref 0 in
     let words_this_round = ref 0 in
     let delivered_this_round = ref 0 in
-    let sent_to = Hashtbl.create 8 in
+    let sent_stamp = Array.make n (-1) in
+    let commits = ref 0 in
     let drop ~send_round ~round ~src ~dst ~words reason =
       Metrics.add_count metrics Dropped 1;
       if audit then incr a_dropped;
@@ -322,17 +347,41 @@ module Make (M : MSG) = struct
       | None -> 0
       | Some a -> Async_engine.transmit a ~round:!round ~src:v ~dst:u ~copy
     in
-    let send v (u, msg) =
-      if not (Hashtbl.mem neighbor_sets.(v) u) then
+    (* the copies of one send, [k] numbering them for [transmit] *)
+    let rec launch_copies v u w msg k = function
+      | [] -> ()
+      | { Fault.extra; corrupt = corrupted } :: rest ->
+          let deliver_round = !round + 1 + extra in
+          let arr = transmit v u k in
+          if corrupted then begin
+            Metrics.add_count metrics Corrupted 1;
+            if tracing then
+              emit
+                (Repro_obs.Event.Corrupt { send_round = !round; deliver_round; src = v; dst = u })
+          end;
+          if extra = 0 then
+            deliver ~send_round:!round ~deliver_round ~words:w ~arr ~corrupted u v msg
+          else begin
+            (* a delay is a logical-schedule fault: the copy is acked on
+               its physical schedule but buffered until [deliver_round]'s
+               inbox *)
+            delayed := (deliver_round, u, v, msg, w, !round, corrupted, arr) :: !delayed;
+            if tracing then
+              emit (Repro_obs.Event.Delay { round = !round; src = v; dst = u; deliver_round })
+          end;
+          launch_copies v u w msg (k + 1) rest
+    in
+    let send v u msg =
+      if neighbor_index neighbors.(v) u < 0 then
         invalid_arg
           (Printf.sprintf "Engine.run(%s): round %d: node %d sent to non-neighbor %d" label
              !round v u);
-      if Hashtbl.mem sent_to u then
+      if sent_stamp.(u) = !commits then
         invalid_arg
           (Printf.sprintf
              "Engine.run(%s): round %d: node %d sent two messages to %d in one round" label
              !round v u);
-      Hashtbl.add sent_to u ();
+      sent_stamp.(u) <- !commits;
       let w = M.words msg in
       if audit then begin
         let w' = M.words msg in
@@ -369,51 +418,33 @@ module Make (M : MSG) = struct
               ignore (transmit v u 0);
               drop ~send_round:!round ~round:!round ~src:v ~dst:u ~words:w Link
           | fates ->
-              if List.length fates > 1 then begin
-                Metrics.add_count metrics Duplicated (List.length fates - 1);
-                if audit then a_duplicated := !a_duplicated + List.length fates - 1;
+              let copies = List.length fates in
+              if copies > 1 then begin
+                Metrics.add_count metrics Duplicated (copies - 1);
+                if audit then a_duplicated := !a_duplicated + copies - 1;
                 if tracing then
-                  emit
-                    (Repro_obs.Event.Duplicate
-                       { round = !round; src = v; dst = u; copies = List.length fates })
+                  emit (Repro_obs.Event.Duplicate { round = !round; src = v; dst = u; copies })
               end;
-              List.iteri
-                (fun k { Fault.extra; corrupt = corrupted } ->
-                  let deliver_round = !round + 1 + extra in
-                  let arr = transmit v u k in
-                  if corrupted then begin
-                    Metrics.add_count metrics Corrupted 1;
-                    if tracing then
-                      emit
-                        (Repro_obs.Event.Corrupt
-                           { send_round = !round; deliver_round; src = v; dst = u })
-                  end;
-                  if extra = 0 then
-                    deliver ~send_round:!round ~deliver_round ~words:w ~arr ~corrupted u v msg
-                  else begin
-                    (* a delay is a logical-schedule fault: the copy is
-                       acked on its physical schedule but buffered until
-                       [deliver_round]'s inbox *)
-                    delayed := (deliver_round, u, v, msg, w, !round, corrupted, arr) :: !delayed;
-                    if tracing then
-                      emit
-                        (Repro_obs.Event.Delay
-                           { round = !round; src = v; dst = u; deliver_round })
-                  end)
-                fates)
+              launch_copies v u w msg 0 fates)
+    in
+    let rec send_all v = function
+      | [] -> ()
+      | (u, msg) :: rest ->
+          send v u msg;
+          send_all v rest
     in
     let step_node v =
       (* contract: inboxes are presented sorted by sender id, so
          algorithms cannot depend on delivery-schedule accidents *)
-      let inbox = List.sort (fun (a, _) (b, _) -> Int.compare a b) !inboxes.(v) in
+      let inbox = sort_inbox !inboxes.(v) in
       if audit then audit_inbox_sorted v inbox;
       let st, outbox = step ~round:!round ~node:v states.(v) inbox in
       states.(v) <- st;
       outbox
     in
     let commit v outbox =
-      Hashtbl.clear sent_to;
-      List.iter (send v) outbox
+      incr commits;
+      send_all v outbox
     in
     (* async mode steps every node in virtual-time order first and
        commits the outboxes afterwards in node order, so the adversary's
@@ -464,14 +495,16 @@ module Make (M : MSG) = struct
           Async_engine.dispatch a ~round:!round step_async;
           Async_engine.commit a ~round:!round commit_async);
       (* copies whose delay matured this round join the next inboxes *)
-      let matured, still_held =
-        List.partition (fun (dr, _, _, _, _, _, _, _) -> dr = !round + 1) !delayed
-      in
-      delayed := still_held;
-      List.iter
-        (fun (dr, dst, src, msg, w, sr, corrupted, arr) ->
-          deliver ~send_round:sr ~deliver_round:dr ~words:w ~arr ~corrupted dst src msg)
-        matured;
+      if !delayed <> [] then begin
+        let matured, still_held =
+          List.partition (fun (dr, _, _, _, _, _, _, _) -> dr = !round + 1) !delayed
+        in
+        delayed := still_held;
+        List.iter
+          (fun (dr, dst, src, msg, w, sr, corrupted, arr) ->
+            deliver ~send_round:sr ~deliver_round:dr ~words:w ~arr ~corrupted dst src msg)
+          matured
+      end;
       (* swap the buffers: this round's deliveries become next round's
          inboxes, and the consumed array is wiped for reuse *)
       let filled = !next_inboxes in

@@ -189,3 +189,15 @@ end
 
 (** Default message size cap (machine words per message). *)
 val default_max_words : int
+
+(** [sort_inbox inbox] is [List.stable_sort] of [inbox] by ascending
+    sender: the order [step] sees. An inbox built by consing arrives
+    with senders strictly descending, and then this is [List.rev]
+    without a sort; any other order (the same sender twice, a matured
+    delay) falls back to the stable sort. {!Transport} and {!Recovery}
+    order the inboxes they hand up with it too. *)
+val sort_inbox : (int * 'a) list -> (int * 'a) list
+
+(** [neighbor_index nbrs u] is the position of [u] in the ascending
+    array [nbrs] (a {!Repro_graph.Digraph.neighbors} array), or [-1]. *)
+val neighbor_index : int array -> int -> int

@@ -161,6 +161,10 @@ let begin_run t = t.run <- t.run + 1
 let profile_of t = t.p
 let seed_of t = t.seed
 
+(* the fate of every copy of a profile that can neither delay nor
+   corrupt, shared so such a send allocates nothing *)
+let intact_fates = [ { extra = 0; corrupt = false } ]
+
 let plan t ~round ~src ~dst =
   match t.decider with
   | Scripted f -> f ~run:(max t.run 0) ~round ~src ~dst
@@ -171,44 +175,56 @@ let plan t ~round ~src ~dst =
         let copies =
           if p.duplicate > 0.0 && Random.State.float rng 1.0 < p.duplicate then 2 else 1
         in
-        List.init copies (fun _ ->
-            let extra =
-              if p.max_delay = 0 then 0 else Random.State.int rng (p.max_delay + 1)
-            in
-            let corrupt = p.corrupt > 0.0 && Random.State.float rng 1.0 < p.corrupt in
-            { extra; corrupt })
+        if copies = 1 && p.max_delay = 0 && p.corrupt = 0.0 then intact_fates
+        else
+          List.init copies (fun _ ->
+              let extra =
+                if p.max_delay = 0 then 0 else Random.State.int rng (p.max_delay + 1)
+              in
+              let corrupt = p.corrupt > 0.0 && Random.State.float rng 1.0 < p.corrupt in
+              { extra; corrupt })
       end
+
+(* [List.exists (fun x -> p x round v) xs] without the closure: the
+   engine asks the crash predicates below for every node in every
+   round, so they hand [p] a function with no free variables *)
+let rec exists_at p round v = function
+  | [] -> false
+  | x :: rest -> p x round v || exists_at p round v rest
 
 let in_window (c : crash) ~round =
   round >= c.from_round
   && (match c.until_round with None -> true | Some u -> round < u)
 
-let crashed t ~round v = List.exists (fun c -> c.node = v && in_window c ~round) t.p.crashes
+let crashed t ~round v =
+  exists_at (fun c round v -> c.node = v && in_window c ~round) round v t.p.crashes
 
 let crash_stopped t ~round v =
-  List.exists
-    (fun c -> c.node = v && c.until_round = None && round >= c.from_round)
-    t.p.crashes
+  exists_at
+    (fun c round v -> c.node = v && c.until_round = None && round >= c.from_round)
+    round v t.p.crashes
 
 let eventually_down t v =
   List.exists (fun c -> c.node = v && c.until_round = None) t.p.crashes
 
 let restarted t ~round v =
   (not (crashed t ~round v))
-  && List.exists
-       (fun c -> c.node = v && c.mode = Amnesia && c.until_round = Some round)
-       t.p.crashes
+  && exists_at
+       (fun c round v ->
+         c.node = v && c.mode = Amnesia
+         && match c.until_round with Some u -> u = round | None -> false)
+       round v t.p.crashes
 
 (* the window is "in progress" through the restart round itself ([<= u]):
    the restart is applied at round [u], so the run must still be alive
    then for the node to come back at all *)
 let amnesia_in_progress t ~round =
-  List.exists
-    (fun c ->
+  exists_at
+    (fun c round _ ->
       c.mode = Amnesia
       && round >= c.from_round
       && match c.until_round with Some u -> round <= u | None -> false)
-    t.p.crashes
+    round 0 t.p.crashes
 
 (* --------------------------------------------------------- partitions *)
 
@@ -222,9 +238,10 @@ let partition_active p ~round =
   && (match p.heal_round with None -> true | Some h -> round < h)
 
 let link_down t ~round ~src ~dst =
-  List.exists
-    (fun p -> partition_active p ~round && cut_covers p.cut ~src ~dst)
-    t.p.partitions
+  t.p.partitions <> []
+  && List.exists
+       (fun p -> partition_active p ~round && cut_covers p.cut ~src ~dst)
+       t.p.partitions
 
 let severed t ~src ~dst =
   List.exists
@@ -245,20 +262,22 @@ let timing_active t =
 let in_straggle_window (s : straggle) ~round =
   round >= s.s_from && (match s.s_until with None -> true | Some u -> round < u)
 
-(* nominal = 1; a bounded stall is a [stall_factor]x slowdown *)
-let straggle_factor t ~round v =
-  match
-    List.find_opt (fun s -> s.s_node = v && in_straggle_window s ~round) t.p.stragglers
-  with
-  | None -> 1
-  | Some { factor = 0; s_until = Some _; _ } -> stall_factor
-  | Some { factor = 0; s_until = None; _ } -> 0
-  | Some s -> s.factor
+(* nominal = 1; a bounded stall is a [stall_factor]x slowdown. A
+   closure-free scan: the asynchronous executor asks every pulse. *)
+let rec factor_in ss ~round v =
+  match ss with
+  | [] -> 1
+  | s :: rest when not (s.s_node = v && in_straggle_window s ~round) -> factor_in rest ~round v
+  | { factor = 0; s_until = Some _; _ } :: _ -> stall_factor
+  | { factor = 0; s_until = None; _ } :: _ -> 0
+  | s :: _ -> s.factor
+
+let straggle_factor t ~round v = factor_in t.p.stragglers ~round v
 
 let stalled_forever t ~round v =
-  List.exists
-    (fun s -> s.s_node = v && s.factor = 0 && s.s_until = None && round >= s.s_from)
-    t.p.stragglers
+  exists_at
+    (fun s round v -> s.s_node = v && s.factor = 0 && s.s_until = None && round >= s.s_from)
+    round v t.p.stragglers
 
 let eventually_stalled t v =
   List.exists (fun s -> s.s_node = v && s.factor = 0 && s.s_until = None) t.p.stragglers

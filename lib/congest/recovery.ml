@@ -85,7 +85,7 @@ module Make (P : RECOVERABLE) = struct
           | X.Resync None -> ()
           | X.Hello -> (Hashtbl.find st.cells u).resync_owed <- true)
         inbox;
-      let user_in = List.sort (fun (a, _) (b, _) -> Int.compare a b) !user_in in
+      let user_in = Engine.sort_inbox !user_in in
       let user, user_out = P.step ~round ~node:v st.user user_in in
       List.iter (fun (u, m) -> (Hashtbl.find st.cells u).data <- Some m) user_out;
       if checkpoint_every > 0 && round > 0 && round mod checkpoint_every = 0 then begin

@@ -36,10 +36,13 @@ module Make (M : Engine.MSG) = struct
        itself). The adversary's garbling is modeled as flipping [crc],
        so any mismatch test works; a real CRC's residual-error rate is
        out of scope. *)
-    let checksum p = Hashtbl.hash (p.epoch, p.data, p.ack, p.nack)
+    let checksum epoch data ack nack = Hashtbl.hash (epoch, data, ack, nack)
 
-    let seal p = { p with crc = checksum p }
-    let intact p = checksum p = p.crc
+    (* a sealed packet, built once with its checksum *)
+    let make ~epoch ~data ~ack ~nack =
+      { epoch; data; ack; nack; crc = checksum epoch data ack nack }
+
+    let intact p = checksum p.epoch p.data p.ack p.nack = p.crc
   end
 
   module E = Engine.Make (Packet)
@@ -61,15 +64,20 @@ module Make (M : Engine.MSG) = struct
        per link under any dup/delay profile) *)
     mutable watermark : int;
     mutable peer_epoch : int;  (* largest connection epoch seen from the peer *)
+    (* the last round the user queued a message on this link: the
+       one-message-per-link-per-round check *)
+    mutable queued_round : int;
   }
 
-  (* [nbrs] is the sorted neighbor list: per-round link iteration walks it
-     instead of the [links] hashtable so packet launch order (and with it
-     the fault adversary's RNG consumption) is deterministic. *)
+  (* [nbrs] is the sorted neighbor array and [links.(i)] the link to
+     [nbrs.(i)]: per-round link iteration walks them in ascending
+     neighbor order, so packet launch order (and with it the fault
+     adversary's RNG consumption) is deterministic. A node record is
+     built once per boot; each step updates [user] in place. *)
   type 'st node = {
-    user : 'st;
+    mutable user : 'st;
     my_epoch : int;  (* bumped to the restart round on every amnesia reboot *)
-    links : (int, link) Hashtbl.t;
+    links : link array;
     nbrs : int array;
   }
 
@@ -87,6 +95,7 @@ module Make (M : Engine.MSG) = struct
       ackq = Queue.create ();
       watermark = -1;
       peer_epoch = 0;
+      queued_round = -1;
     }
 
   let run skeleton ~init ~step ~active ?faults ?on_restart ?(jitter_seed = 0)
@@ -103,11 +112,10 @@ module Make (M : Engine.MSG) = struct
        the engine's; captured once per run, guarded like every site *)
     let sink = !Engine.trace_sink in
     let tracing = sink.Repro_obs.Sink.enabled in
+    let neighbors = Array.init (Digraph.n skeleton) (Digraph.neighbors skeleton) in
     let fresh_node ~epoch v user =
-      let nbrs = Digraph.neighbors skeleton v in
-      let links = Hashtbl.create 8 in
-      Array.iter (fun u -> Hashtbl.replace links u (fresh_link ())) nbrs;
-      { user; my_epoch = epoch; links; nbrs }
+      let nbrs = neighbors.(v) in
+      { user; my_epoch = epoch; links = Array.map (fun _ -> fresh_link ()) nbrs; nbrs }
     in
     let wrap_init v = fresh_node ~epoch:0 v (init v) in
     (* amnesia restart: all link state is volatile and lost; the engine
@@ -121,93 +129,102 @@ module Make (M : Engine.MSG) = struct
     let wrap_restart ~round ~node =
       fresh_node ~epoch:round node (restart_user ~round ~node)
     in
-    let wrap_step ~round ~node:v st inbox =
-      (* 1. absorb packets: track peer epochs, clear acked messages, ack
-         and dedup data. A packet from an epoch older than the peer's
-         known one predates the peer's last restart: ignore it entirely. *)
-      let fresh = ref [] in
-      List.iter
-        (fun (u, p) ->
-          let l = Hashtbl.find st.links u in
-          if l.dead then ()
-          else if not (Packet.intact p) then begin
-            (* checksum failure: the payload was garbled in flight.
-               Reject the packet wholesale — its epoch, data, ack and
-               nack are all untrusted — and owe the peer a NACK so it
-               retransmits without waiting out its timeout. *)
-            Metrics.add_count metrics Rejected 1;
-            l.nack_owed <- true
-          end
-          else if p.Packet.epoch >= l.peer_epoch then begin
-            if p.Packet.epoch > l.peer_epoch then begin
-              (* the peer restarted: its sequence space starts over, and
-                 whatever we had delivered from the old connection is
-                 void — reset the receive watermark *)
-              l.peer_epoch <- p.Packet.epoch;
-              l.watermark <- -1
-            end;
-            (match p.Packet.ack with
-            | Some (e, s) when e = st.my_epoch -> (
-                match l.outstanding with
-                | Some (s', _) when s' = s ->
-                    l.outstanding <- None;
-                    l.backoff <- 0;
-                    l.retries <- 0;
-                    l.unheard <- 0;
-                    if tracing then
-                      Repro_obs.Sink.emit sink
-                        (Repro_obs.Event.Ack { round; src = v; dst = u; seq = s })
-                | _ -> ())
-            | _ -> ());
-            (* the peer rejected our last packet: fast-retransmit the
-               outstanding message this round. An intact NACK proves the
-               peer is reachable, so it refills the retry budget. *)
-            (if p.Packet.nack then
-               match l.outstanding with
-               | Some (s, _) ->
-                   l.retry_round <- round;
-                   l.unheard <- 0;
-                   if tracing then
-                     Repro_obs.Sink.emit sink
-                       (Repro_obs.Event.Nack { round; src = v; dst = u; seq = s })
-               | None -> ());
-            match p.Packet.data with
-            | Some (s, payload) ->
-                Queue.add (p.Packet.epoch, s) l.ackq;
-                if s > l.watermark then begin
-                  l.watermark <- s;
-                  fresh := (u, payload) :: !fresh
-                end
-            | None -> ()
-          end)
-        inbox;
-      (* 2. run the user's step on the deduplicated, sender-sorted inbox *)
-      let user_inbox = List.sort (fun (a, _) (b, _) -> Int.compare a b) !fresh in
-      let user, user_out = step ~round ~node:v st.user user_inbox in
-      let queued_to = Hashtbl.create 4 in
-      List.iter
-        (fun (u, m) ->
-          (match Hashtbl.find_opt st.links u with
-          | None ->
-              invalid_arg
-                (Printf.sprintf "Transport.run(%s): round %d: node %d sent to non-neighbor %d"
-                   label round v u)
-          | Some l -> if not l.dead then Queue.add m l.sendq);
-          if Hashtbl.mem queued_to u then
+    (* 1. absorb packets: track peer epochs, clear acked messages, ack
+       and dedup data. A packet from an epoch older than the peer's
+       known one predates the peer's last restart: ignore it entirely.
+       Returns the fresh payloads consed onto [fresh]. *)
+    let rec absorb st v round fresh = function
+      | [] -> fresh
+      | (u, p) :: rest ->
+          let l = st.links.(Engine.neighbor_index st.nbrs u) in
+          let fresh =
+            if l.dead then fresh
+            else if not (Packet.intact p) then begin
+              (* checksum failure: the payload was garbled in flight.
+                 Reject the packet wholesale — its epoch, data, ack and
+                 nack are all untrusted — and owe the peer a NACK so it
+                 retransmits without waiting out its timeout. *)
+              Metrics.add_count metrics Rejected 1;
+              l.nack_owed <- true;
+              fresh
+            end
+            else if p.Packet.epoch >= l.peer_epoch then begin
+              if p.Packet.epoch > l.peer_epoch then begin
+                (* the peer restarted: its sequence space starts over,
+                   and whatever we had delivered from the old connection
+                   is void — reset the receive watermark *)
+                l.peer_epoch <- p.Packet.epoch;
+                l.watermark <- -1
+              end;
+              (match p.Packet.ack with
+              | Some (e, s) when e = st.my_epoch -> (
+                  match l.outstanding with
+                  | Some (s', _) when s' = s ->
+                      l.outstanding <- None;
+                      l.backoff <- 0;
+                      l.retries <- 0;
+                      l.unheard <- 0;
+                      if tracing then
+                        Repro_obs.Sink.emit sink
+                          (Repro_obs.Event.Ack { round; src = v; dst = u; seq = s })
+                  | _ -> ())
+              | _ -> ());
+              (* the peer rejected our last packet: fast-retransmit the
+                 outstanding message this round. An intact NACK proves
+                 the peer is reachable, so it refills the retry budget. *)
+              (if p.Packet.nack then
+                 match l.outstanding with
+                 | Some (s, _) ->
+                     l.retry_round <- round;
+                     l.unheard <- 0;
+                     if tracing then
+                       Repro_obs.Sink.emit sink
+                         (Repro_obs.Event.Nack { round; src = v; dst = u; seq = s })
+                 | None -> ());
+              match p.Packet.data with
+              | Some (s, payload) ->
+                  Queue.add (p.Packet.epoch, s) l.ackq;
+                  if s > l.watermark then begin
+                    l.watermark <- s;
+                    (u, payload) :: fresh
+                  end
+                  else fresh
+              | None -> fresh
+            end
+            else fresh
+          in
+          absorb st v round fresh rest
+    in
+    (* the user's outbox joins its links' send queues: a neighbor per
+       entry, at most one entry per link per round *)
+    let rec enqueue st v round = function
+      | [] -> ()
+      | (u, m) :: rest ->
+          let i = Engine.neighbor_index st.nbrs u in
+          if i < 0 then
+            invalid_arg
+              (Printf.sprintf "Transport.run(%s): round %d: node %d sent to non-neighbor %d"
+                 label round v u);
+          let l = st.links.(i) in
+          if not l.dead then Queue.add m l.sendq;
+          if l.queued_round = round then
             invalid_arg
               (Printf.sprintf
                  "Transport.run(%s): round %d: node %d sent two messages to %d in one round"
                  label round v u);
-          Hashtbl.add queued_to u ())
-        user_out;
-      (* 3. per link, in ascending neighbor order: retransmit if the
-         timeout expired, else launch the next queued message; piggyback
-         one owed ack *)
-      let out = ref [] in
-      Array.iter
-        (fun u ->
-          let l = Hashtbl.find st.links u in
-          if not l.dead then begin
+          l.queued_round <- round;
+          enqueue st v round rest
+    in
+    (* 3. per link, in ascending neighbor order: retransmit if the
+       timeout expired, else launch the next queued message; piggyback
+       one owed ack. Packets are consed onto [out]. *)
+    let rec launch st v round i out =
+      if i = Array.length st.nbrs then out
+      else begin
+        let u = st.nbrs.(i) and l = st.links.(i) in
+        let out =
+          if l.dead then out
+          else begin
             let data =
               match l.outstanding with
               | Some (s, _) when round >= l.retry_round && l.unheard >= max_retries ->
@@ -255,26 +272,35 @@ module Make (M : Engine.MSG) = struct
                     Some (s, m)
                   end
             in
-            if not l.dead then begin
+            if l.dead then out
+            else begin
               let ack = if Queue.is_empty l.ackq then None else Some (Queue.pop l.ackq) in
               let nack = l.nack_owed in
               l.nack_owed <- false;
               if data <> None || ack <> None || nack then
-                out :=
-                  (u, Packet.seal { Packet.epoch = st.my_epoch; data; ack; nack; crc = 0 })
-                  :: !out
+                (u, Packet.make ~epoch:st.my_epoch ~data ~ack ~nack) :: out
+              else out
             end
-          end)
-        st.nbrs;
-      ({ st with user }, !out)
+          end
+        in
+        launch st v round (i + 1) out
+      end
+    in
+    let wrap_step ~round ~node:v st inbox =
+      (* 2. run the user's step on the deduplicated, sender-sorted inbox *)
+      let user_inbox = Engine.sort_inbox (absorb st v round [] inbox) in
+      let stepped, user_out = step ~round ~node:v st.user user_inbox in
+      st.user <- stepped;
+      enqueue st v round user_out;
+      (st, launch st v round 0 [])
     in
     let wrap_active st =
       active st.user
       (* dead links hold no deliverable traffic and never block quiescence *)
-      || Det_tbl.exists
-           (fun _ l ->
+      || Array.exists
+           (fun l ->
              (not l.dead)
-             && (l.outstanding <> None
+             && (Option.is_some l.outstanding
                 || (not (Queue.is_empty l.sendq))
                 || not (Queue.is_empty l.ackq)))
            st.links

@@ -1,54 +1,62 @@
-type 'a t = { mutable heap : (int * 'a) array; mutable size : int }
+(* Priorities and values live in parallel arrays, so a push boxes
+   nothing: the heap invariant and every sift comparison are on
+   [prios], and [vals] moves with it. *)
+type 'a t = { mutable prios : int array; mutable vals : 'a array; mutable size : int }
 
-let create () = { heap = [||]; size = 0 }
+let create () = { prios = [||]; vals = [||]; size = 0 }
 let is_empty q = q.size = 0
 let length q = q.size
 
-let grow q entry =
-  let cap = Array.length q.heap in
+let grow q x =
+  let cap = Array.length q.prios in
   if q.size = cap then begin
     let ncap = max 8 (2 * cap) in
-    let nheap = Array.make ncap entry in
-    Array.blit q.heap 0 nheap 0 q.size;
-    q.heap <- nheap
+    let prios = Array.make ncap 0 and vals = Array.make ncap x in
+    Array.blit q.prios 0 prios 0 q.size;
+    Array.blit q.vals 0 vals 0 q.size;
+    q.prios <- prios;
+    q.vals <- vals
   end
 
-let rec sift_up heap i =
+let swap q i j =
+  let p = q.prios.(i) and x = q.vals.(i) in
+  q.prios.(i) <- q.prios.(j);
+  q.vals.(i) <- q.vals.(j);
+  q.prios.(j) <- p;
+  q.vals.(j) <- x
+
+let rec sift_up q i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if fst heap.(i) < fst heap.(parent) then begin
-      let tmp = heap.(i) in
-      heap.(i) <- heap.(parent);
-      heap.(parent) <- tmp;
-      sift_up heap parent
+    if q.prios.(i) < q.prios.(parent) then begin
+      swap q i parent;
+      sift_up q parent
     end
   end
 
-let rec sift_down heap size i =
+let rec sift_down q i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < size && fst heap.(l) < fst heap.(!smallest) then smallest := l;
-  if r < size && fst heap.(r) < fst heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = heap.(i) in
-    heap.(i) <- heap.(!smallest);
-    heap.(!smallest) <- tmp;
-    sift_down heap size !smallest
+  let smallest = if l < q.size && q.prios.(l) < q.prios.(i) then l else i in
+  let smallest = if r < q.size && q.prios.(r) < q.prios.(smallest) then r else smallest in
+  if smallest <> i then begin
+    swap q i smallest;
+    sift_down q smallest
   end
 
 let push q prio x =
-  let entry = (prio, x) in
-  grow q entry;
-  q.heap.(q.size) <- entry;
+  grow q x;
+  q.prios.(q.size) <- prio;
+  q.vals.(q.size) <- x;
   q.size <- q.size + 1;
-  sift_up q.heap (q.size - 1)
+  sift_up q (q.size - 1)
 
 let pop_min q =
   if q.size = 0 then raise Not_found;
-  let top = q.heap.(0) in
+  let top = (q.prios.(0), q.vals.(0)) in
   q.size <- q.size - 1;
   if q.size > 0 then begin
-    q.heap.(0) <- q.heap.(q.size);
-    sift_down q.heap q.size 0
+    q.prios.(0) <- q.prios.(q.size);
+    q.vals.(0) <- q.vals.(q.size);
+    sift_down q 0
   end;
   top

@@ -3,15 +3,12 @@ let inf = Digraph.inf
 let bfs_gen ~respect_direction g src =
   let n = Digraph.n g in
   let dist = Array.make n inf in
-  let parent = Array.make n (-1) in
   dist.(src) <- 0;
-  parent.(src) <- src;
   let queue = Queue.create () in
   Queue.add src queue;
   let relax v u =
     if dist.(u) = inf then begin
       dist.(u) <- dist.(v) + 1;
-      parent.(u) <- v;
       Queue.add u queue
     end
   in
@@ -29,10 +26,10 @@ let bfs_gen ~respect_direction g src =
           relax v (if e.Digraph.src = v then e.Digraph.dst else e.Digraph.src))
         (Digraph.in_edges g v)
   done;
-  (parent, dist)
+  dist
 
-let bfs g src = snd (bfs_gen ~respect_direction:true g src)
-let bfs_undirected g src = snd (bfs_gen ~respect_direction:false g src)
+let bfs g src = bfs_gen ~respect_direction:true g src
+let bfs_undirected g src = bfs_gen ~respect_direction:false g src
 
 let components_mask g mask =
   let n = Digraph.n g in

@@ -191,16 +191,21 @@ let read_section data ~header ~index pos0 =
     rec_base + shard_off.(nshards) )
 
 let open_ path =
+  let ml = String.length magic in
   let ic = open_in_bin path in
   let data =
     Fun.protect
       ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+      (fun () ->
+        (* the magic is checked before the file is read, so a large
+           file that is not a store costs one header read *)
+        let len = in_channel_length ic in
+        if len < header_len then fmt_err "file too short for header";
+        if not (String.equal (really_input_string ic ml) magic) then
+          fmt_err "bad magic (not a label store, or an unsupported version)";
+        seek_in ic 0;
+        really_input_string ic len)
   in
-  let ml = String.length magic in
-  if String.length data < header_len then fmt_err "file too short for header";
-  if not (String.equal (String.sub data 0 ml) magic) then
-    fmt_err "bad magic (not a label store, or an unsupported version)";
   let header = String.sub data 0 header_len in
   let flags = ru32 data ml in
   let s_n = ru32 data (ml + 4) in

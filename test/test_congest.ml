@@ -153,17 +153,15 @@ let both_modes name f =
 let test_engine_enforces_bandwidth () =
   let sk = Generators.path 2 in
   let m = Metrics.create () in
-  let ran = ref false in
-  (try
-     ignore
-       (E.run sk
-          ~init:(fun _ -> true)
-          ~step:(fun ~round:_ ~node st _ ->
-            if node = 0 && st then (false, [ (1, 1); (1, 2) ]) else (false, []))
-          ~active:Fun.id ~metrics:m ~label:"t" ());
-     ran := true
-   with Invalid_argument _ -> ());
-  check_bool "duplicate send rejected" false !ran
+  Alcotest.check_raises "duplicate send rejected"
+    (Invalid_argument "Engine.run(t): round 0: node 0 sent two messages to 1 in one round")
+    (fun () ->
+      ignore
+        (E.run sk
+           ~init:(fun _ -> true)
+           ~step:(fun ~round:_ ~node st _ ->
+             if node = 0 && st then (false, [ (1, 1); (1, 2) ]) else (false, []))
+           ~active:Fun.id ~metrics:m ~label:"t" ()))
 
 let test_engine_rejects_non_neighbor () =
   let sk = Generators.path 3 in
@@ -501,6 +499,36 @@ let test_fault_crash_partitions_raw_bfs () =
 
 (* ------------------------------------------------------------------ *)
 (* Reliable transport *)
+
+module T = Transport.Make (IntMsg)
+
+(* the transport checks its user's outbox with the engine's texts, under
+   its own name: a non-neighbor, then one message per link per round *)
+let test_transport_rejects_non_neighbor () =
+  let sk = Generators.path 3 in
+  Alcotest.check_raises "non neighbor"
+    (Invalid_argument "Transport.run(t): round 0: node 0 sent to non-neighbor 2") (fun () ->
+      ignore
+        (T.run sk
+           ~init:(fun _ -> true)
+           ~step:(fun ~round:_ ~node st _ ->
+             if node = 0 && st then (false, [ (2, 1) ]) else (false, []))
+           ~active:Fun.id ~metrics:(Metrics.create ()) ~label:"t" ()))
+
+let test_transport_rejects_duplicate_send () =
+  let sk = Generators.path 3 in
+  Alcotest.check_raises "duplicate send"
+    (Invalid_argument "Transport.run(t): round 3: node 1 sent two messages to 2 in one round")
+    (fun () ->
+      ignore
+        (T.run sk
+           ~init:(fun _ -> true)
+           ~step:(fun ~round ~node st _ ->
+             (* one send per link in the earlier rounds is fine *)
+             if node = 1 && round < 3 then (true, [ (2, round) ])
+             else if node = 1 && st then (false, [ (0, 1); (2, 1); (2, 2) ])
+             else (false, []))
+           ~active:Fun.id ~metrics:(Metrics.create ()) ~label:"t" ()))
 
 let test_transport_no_faults_exact () =
   let g = Generators.k_tree ~seed:9 40 3 in
@@ -1322,6 +1350,31 @@ let test_deadline_cuts_chronic_straggler () =
     (fun i r -> if r then check_int (Printf.sprintf "dist %d" i) want.(i) t.Bfs_tree.dist.(i))
     expected
 
+let test_single_cut_drops_copies () =
+  (* on a 3-node path only the middle node has the two eligible
+     neighbors striking needs, so the chronic straggler at one end is
+     the one pair ever cut: once it is, its copies to the middle node
+     drop on arrival, the only drops of this fault-free-link run *)
+  let g = Generators.path 3 in
+  let saved = !Async_engine.deadline in
+  Async_engine.deadline := 4;
+  Fun.protect ~finally:(fun () -> Async_engine.deadline := saved) @@ fun () ->
+  let faults =
+    Fault.create ~seed:1
+      (Fault.profile ~stragglers:[ Fault.straggle 2 ~from:2 ~factor:40 ] ())
+  in
+  let sends =
+    Array.init 3 (fun v -> List.map (fun u -> (u, v)) (Array.to_list (Digraph.neighbors g v)))
+  in
+  let m = Metrics.create () in
+  ignore
+    (E.run g ~faults
+       ~init:(fun _ -> 0)
+       ~step:(fun ~round:_ ~node k _ -> (k + 1, if k < 30 then sends.(node) else []))
+       ~active:(fun k -> k < 30)
+       ~metrics:m ~label:"t" ());
+  check_bool "the straggler's copies dropped" true (Metrics.get m Dropped > 0)
+
 let test_spec_roundtrips () =
   let crash s =
     match Fault.parse_crash s with
@@ -1432,6 +1485,94 @@ let test_nack_keeps_healed_link_alive () =
   check_bool "peer NACKed corrupted packets" true (Metrics.get m Rejected > 0);
   check_int "no link declared dead" 0 (Metrics.get m Link_failures)
 
+(* the shared inbox order is the stable sort by sender: (sender,
+   position) pairs with repeated senders show stability, and the
+   strictly descending lists consing builds take the reversal path *)
+let prop_sort_inbox_is_stable_sort =
+  QCheck.Test.make ~name:"sort_inbox = stable sort by sender" ~count:500
+    QCheck.(pair bool (list_of_size Gen.(0 -- 12) (int_bound 6)))
+    (fun (descending, senders) ->
+      let senders =
+        if descending then List.sort_uniq (fun a b -> Int.compare b a) senders else senders
+      in
+      let inbox = List.mapi (fun i s -> (s, i)) senders in
+      Engine.sort_inbox inbox
+      = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) inbox)
+
+(* The boxed-pair binary heap [Pqueue] used to be, kept as the
+   reference: the parallel-array heap must make the same sift
+   comparisons, so it pops the same (prio, value) sequence, ties
+   included. *)
+module Pair_heap = struct
+  type 'a t = { mutable heap : (int * 'a) array; mutable size : int }
+
+  let create () = { heap = [||]; size = 0 }
+
+  let rec sift_up heap i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if fst heap.(i) < fst heap.(parent) then begin
+        let tmp = heap.(i) in
+        heap.(i) <- heap.(parent);
+        heap.(parent) <- tmp;
+        sift_up heap parent
+      end
+    end
+
+  let rec sift_down heap size i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < size && fst heap.(l) < fst heap.(!smallest) then smallest := l;
+    if r < size && fst heap.(r) < fst heap.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      let tmp = heap.(i) in
+      heap.(i) <- heap.(!smallest);
+      heap.(!smallest) <- tmp;
+      sift_down heap size !smallest
+    end
+
+  let push q prio x =
+    let entry = (prio, x) in
+    if q.size = Array.length q.heap then begin
+      let nheap = Array.make (max 8 (2 * q.size)) entry in
+      Array.blit q.heap 0 nheap 0 q.size;
+      q.heap <- nheap
+    end;
+    q.heap.(q.size) <- entry;
+    q.size <- q.size + 1;
+    sift_up q.heap (q.size - 1)
+
+  let pop_min q =
+    if q.size = 0 then raise Not_found;
+    let top = q.heap.(0) in
+    q.size <- q.size - 1;
+    if q.size > 0 then begin
+      q.heap.(0) <- q.heap.(q.size);
+      sift_down q.heap q.size 0
+    end;
+    top
+end
+
+module Pqueue = Repro_graph.Pqueue
+
+let prop_pqueue_matches_pair_heap =
+  QCheck.Test.make ~name:"Pqueue pops as the pair heap did" ~count:300
+    (* [Some p] pushes priority [p] (few values, so ties abound), [None] pops *)
+    QCheck.(list_of_size Gen.(0 -- 200) (option (int_bound 8)))
+    (fun ops ->
+      let q = Pqueue.create () and r = Pair_heap.create () in
+      let pop pop_min q = match pop_min q with x -> Some x | exception Not_found -> None in
+      List.for_all Fun.id
+        (List.mapi
+           (fun i op ->
+             match op with
+             | Some p ->
+                 Pqueue.push q p i;
+                 Pair_heap.push r p i;
+                 Pqueue.length q = r.Pair_heap.size
+             | None -> pop Pqueue.pop_min q = pop Pair_heap.pop_min r)
+           ops))
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -1444,6 +1585,8 @@ let () =
         prop_recovery_amnesia_oracle_exact;
         prop_fault_adversary_deterministic;
         prop_healed_partition_exact;
+        prop_sort_inbox_is_stable_sort;
+        prop_pqueue_matches_pair_heap;
       ]
   in
   Alcotest.run "repro_congest"
@@ -1514,6 +1657,7 @@ let () =
           Alcotest.test_case "spec round-trips" `Quick test_spec_roundtrips;
           Alcotest.test_case "spec errors name the field" `Quick
             test_spec_errors_name_field_and_grammar;
+          Alcotest.test_case "one cut pair drops its copies" `Quick test_single_cut_drops_copies;
         ] );
       ( "transport",
         [
@@ -1527,6 +1671,8 @@ let () =
           Alcotest.test_case "amnesia alone degrades" `Quick
             test_transport_alone_loses_amnesia_state;
           Alcotest.test_case "watermark dedup" `Quick test_transport_watermark_dedup_exact;
+          Alcotest.test_case "non neighbor" `Quick test_transport_rejects_non_neighbor;
+          Alcotest.test_case "duplicate send" `Quick test_transport_rejects_duplicate_send;
         ] );
       ( "recovery",
         [

@@ -690,25 +690,29 @@ end
 module Word_engine = Engine.Make (Word)
 module Word_transport = Transport.Make (Word)
 
-(* Minor words per [Metrics.Messages] over one whole run, audit off: the
-   audit's own bookkeeping is not part of the contract. *)
-let words_per_message run =
+(* Minor words one whole run allocates, audit off (the audit's own
+   bookkeeping is not part of the contract), and the run's metrics. *)
+let run_words run =
   let m = Metrics.create () in
   Engine.audit_enabled := false;
   let w =
     Fun.protect ~finally:(fun () -> Engine.audit_enabled := true) (fun () ->
         minor_words (fun () -> run m))
   in
-  w /. float_of_int (Metrics.get m Messages)
+  (w, m)
 
-(* Ceilings: the value measured when the test was added, plus 2 words
-   (one 2-tuple per message). Making messages cheaper lowers them. *)
-let check_words_per_message name ~ceiling run =
-  let wpm = words_per_message run in
-  Printf.printf "%s: %.3f minor words per message (ceiling %.3f)\n" name wpm ceiling;
-  if wpm > ceiling then
-    Alcotest.failf "%s: %.3f minor words per message, over the ceiling of %.3f" name wpm
+(* Ceilings: the value measured when the ceiling was set, plus 2 words,
+   so one more 2-tuple (3 words) per message or per node-step fails.
+   Making either cheaper lowers them. *)
+let check_ceiling name ~per ~ceiling value =
+  Printf.printf "%s: %.3f minor words per %s (ceiling %.3f)\n" name value per ceiling;
+  if value > ceiling then
+    Alcotest.failf "%s: %.3f minor words per %s, over the ceiling of %.3f" name value per
       ceiling
+
+let check_words_per_message name ~ceiling run =
+  let w, m = run_words run in
+  check_ceiling name ~per:"message" ~ceiling (w /. float_of_int (Metrics.get m Messages))
 
 (* Every node sends one word to each neighbor for 50 rounds. The step
    function allocates nothing — each node's (state, outbox) pair is
@@ -727,14 +731,42 @@ let test_engine_words_per_message () =
       (Word_engine.run g ~init:(fun _ -> true) ~step ~active:Fun.id ~metrics:m ~label:"flood"
          ())
   in
-  check_words_per_message "sync engine" ~ceiling:(25.661 +. 2.) engine;
+  check_words_per_message "sync engine" ~ceiling:(9.616 +. 2.) engine;
   Async_engine.forced := true;
   Fun.protect ~finally:(fun () -> Async_engine.forced := false) (fun () ->
-      check_words_per_message "forced-async engine" ~ceiling:(26.223 +. 2.) engine);
-  check_words_per_message "transport, per packet" ~ceiling:(90.804 +. 2.) (fun m ->
+      check_words_per_message "forced-async engine" ~ceiling:(10.176 +. 2.) engine);
+  check_words_per_message "transport, per packet" ~ceiling:(47.370 +. 2.) (fun m ->
       ignore
         (Word_transport.run g ~init:(fun _ -> true) ~step ~active:Fun.id ~metrics:m
            ~label:"flood" ()))
+
+(* Every node stays active for 50 rounds and sends nothing, through a
+   step that returns a prebuilt (state, []) pair: the words a run
+   allocates per node per round are the executor's cost of stepping an
+   idle node, which every live node pays every round. *)
+let test_engine_words_per_idle_node_step () =
+  let g = Generators.k_tree ~seed:21 200 3 in
+  let busy = (true, []) and idle = (false, []) in
+  let step ~round ~node:_ _ _ = if round < 50 then busy else idle in
+  let check name ~ceiling run =
+    let w, m = run_words run in
+    check_int (name ^ ": silent") 0 (Metrics.get m Messages);
+    check_ceiling name ~per:"idle node-step" ~ceiling
+      (w /. float_of_int (Metrics.rounds m * Digraph.n g))
+  in
+  let engine m =
+    ignore
+      (Word_engine.run g ~init:(fun _ -> true) ~step ~active:Fun.id ~metrics:m ~label:"idle"
+         ())
+  in
+  check "sync engine" ~ceiling:(3.585 +. 2.) engine;
+  Async_engine.forced := true;
+  Fun.protect ~finally:(fun () -> Async_engine.forced := false) (fun () ->
+      check "forced-async engine" ~ceiling:(6.849 +. 2.) engine);
+  check "transport" ~ceiling:(12.972 +. 2.) (fun m ->
+      ignore
+        (Word_transport.run g ~init:(fun _ -> true) ~step ~active:Fun.id ~metrics:m
+           ~label:"idle" ()))
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -783,5 +815,7 @@ let () =
           Alcotest.test_case "zero-alloc paths" `Quick test_zero_alloc_paths;
           Alcotest.test_case "async disabled sink" `Quick test_async_disabled_sink;
           Alcotest.test_case "engine words per message" `Quick test_engine_words_per_message;
+          Alcotest.test_case "engine words per idle node-step" `Quick
+            test_engine_words_per_idle_node_step;
         ] );
     ]

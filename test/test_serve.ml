@@ -419,6 +419,29 @@ let test_store_pool_counts () =
   write_store path (Bytes.to_string b);
   lookups "forged anchor count"
 
+(* A large file that is not a store fails the magic check before its
+   bytes are read: opening it allocates a header's worth, not the file. *)
+let test_store_magic_before_read () =
+  let path = temp_path ".bin" in
+  let oc = open_out_bin path in
+  output_string oc (String.make (4 * 1024 * 1024) 'x');
+  close_out oc;
+  let before = Gc.allocated_bytes () in
+  let error =
+    match Store.open_ path with
+    | _ -> None
+    | exception Store.Error (Store.Format_error msg) -> Some msg
+  in
+  let grown = Gc.allocated_bytes () -. before in
+  (match error with
+  | None -> Alcotest.fail "4 MiB of non-store bytes opened as a store"
+  | Some msg ->
+      check_bool "bad magic" true
+        (String.length msg >= 9 && String.equal (String.sub msg 0 9) "bad magic"));
+  check_bool
+    (Printf.sprintf "open_ allocated %.0f KiB, under 64 KiB" (grown /. 1024.))
+    true (grown < 65536.)
+
 let test_store_header_checksum () =
   let g = Digraph.with_labels (Generators.wheel 24) (fun e -> e.Digraph.id mod 2) in
   let cdl = Cdl.build ~seed:3 g count_spec ~metrics:(Metrics.create ()) in
@@ -835,6 +858,8 @@ let () =
           Alcotest.test_case "directory count bounded" `Quick test_store_directory_count;
           Alcotest.test_case "pool counts bounded" `Quick test_store_pool_counts;
           Alcotest.test_case "header checksummed" `Quick test_store_header_checksum;
+          Alcotest.test_case "magic checked before the file is read" `Quick
+            test_store_magic_before_read;
         ] );
       ( "cache",
         [
