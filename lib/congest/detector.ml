@@ -94,8 +94,7 @@ module Make (M : Engine.MSG) = struct
 
   type 'st node = {
     user : 'st;
-    nbrs : int array;
-    idx : (int, int) Hashtbl.t;  (* neighbor id -> position in [nbrs] *)
+    nbrs : int array;  (* sorted: [Engine.neighbor_index] maps a neighbor to its position *)
     last_heard : int array;  (* per [nbrs] position: last round anything arrived *)
     suspect : bool array;  (* per [nbrs] position *)
     mutable watch : int;  (* rounds of detector service left before standing down *)
@@ -121,12 +120,9 @@ module Make (M : Engine.MSG) = struct
     let fresh_node ~round v user =
       let nbrs = Digraph.neighbors skeleton v in
       let deg = Array.length nbrs in
-      let idx = Hashtbl.create (max 8 deg) in
-      Array.iteri (fun i u -> Hashtbl.replace idx u i) nbrs;
       {
         user;
         nbrs;
-        idx;
         last_heard = Array.make deg round;
         suspect = Array.make deg false;
         watch = watch0;
@@ -146,7 +142,7 @@ module Make (M : Engine.MSG) = struct
       let data = ref [] and beaters = ref [] in
       List.iter
         (fun (u, bm) ->
-          let i = Hashtbl.find st.idx u in
+          let i = Engine.neighbor_index st.nbrs u in
           st.last_heard.(i) <- round;
           if st.suspect.(i) then begin
             st.suspect.(i) <- false;
@@ -160,9 +156,9 @@ module Make (M : Engine.MSG) = struct
         inbox;
       let user_inbox = List.rev !data in
       let suspected u =
-        match Hashtbl.find_opt st.idx u with
-        | Some i -> st.suspect.(i)
-        | None -> invalid_arg (Printf.sprintf "Detector(%s): %d is not a neighbor of %d" label u v)
+        let i = Engine.neighbor_index st.nbrs u in
+        if i < 0 then invalid_arg (Printf.sprintf "Detector(%s): %d is not a neighbor of %d" label u v);
+        st.suspect.(i)
       in
       let user, user_out = step ~round ~node:v ~suspected st.user user_inbox in
       (* 2. the watch: user-level activity re-arms it, silence runs it

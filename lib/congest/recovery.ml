@@ -30,18 +30,26 @@ module Make (P : RECOVERABLE) = struct
 
   module T = Transport.Make (X)
 
-  (* per-neighbor send slot: a later announcement supersedes an earlier
-     undelivered one (the RECOVERABLE contract), so one slot suffices *)
-  type cell = { mutable resync_owed : bool; mutable data : P.Msg.t option }
-
+  (* A node's record, built once per boot and updated in place by each
+     step. Its arrays are aligned with the sorted [nbrs]:
+     [Engine.neighbor_index] finds a neighbor's slot. *)
   type rst = {
-    user : P.st;
+    mutable user : P.st;
     mutable hello : bool;  (* just restarted: flood Hello next step *)
     mutable resyncing : bool;  (* restart handshake not yet complete *)
-    cells : (int, cell) Hashtbl.t;
-    await : (int, unit) Hashtbl.t;  (* neighbors not heard from since restart *)
     nbrs : int array;
+    (* per-neighbor send slot: a later announcement supersedes an earlier
+       undelivered one (the RECOVERABLE contract), so one slot suffices *)
+    data : P.Msg.t option array;
+    resync_owed : bool array;  (* the neighbor sent Hello: answer with Resync *)
+    awaited : bool array;  (* not heard from since restart *)
+    mutable awaiting : int;  (* how many [awaited] are set *)
   }
+
+  (* a slot still holds something to send *)
+  let rec pending st i =
+    i < Array.length st.nbrs
+    && (st.resync_owed.(i) || Option.is_some st.data.(i) || pending st (i + 1))
 
   let run skeleton ?faults ?(checkpoint_every = 0) ?max_rounds ?max_words ~metrics
       ~label () =
@@ -52,44 +60,93 @@ module Make (P : RECOVERABLE) = struct
     (* simulated per-node stable storage: survives amnesia restarts
        because it lives outside the engine's (volatile) node states *)
     let stable = Array.make n None in
-    let fresh_rst ~hello v user =
+    let fresh_rst ~hello v booted =
       let nbrs = Digraph.neighbors skeleton v in
-      let cells = Hashtbl.create 8 in
-      Array.iter (fun u -> Hashtbl.replace cells u { resync_owed = false; data = None }) nbrs;
-      let await = Hashtbl.create 8 in
-      if hello then Array.iter (fun u -> Hashtbl.replace await u ()) nbrs;
-      { user; hello; resyncing = hello; cells; await; nbrs }
+      let deg = Array.length nbrs in
+      {
+        user = booted;
+        hello;
+        resyncing = hello;
+        nbrs;
+        data = Array.make deg None;
+        resync_owed = Array.make deg false;
+        awaited = Array.make deg hello;
+        awaiting = (if hello then deg else 0);
+      }
     in
     let wrap_init v = fresh_rst ~hello:false v (P.init v) in
     let wrap_restart ~round:_ ~node =
       Metrics.add_count metrics Recoveries 1;
-      let user =
+      let restored =
         match stable.(node) with
         | Some snap -> P.restore ~node snap
         | None -> P.init node
       in
-      fresh_rst ~hello:true node user
+      fresh_rst ~hello:true node restored
+    in
+    (* absorb: user payloads go to the user inbox (consed onto [acc]); a
+       Hello makes us owe that neighbor a Resync; any payload-bearing
+       message from an awaited neighbor completes that part of the
+       handshake *)
+    let rec absorb st acc = function
+      | [] -> acc
+      | (u, x) :: rest ->
+          let i = Engine.neighbor_index st.nbrs u in
+          (match x with
+          | X.Hello -> st.resync_owed.(i) <- true
+          | X.Data _ | X.Resync _ ->
+              if st.awaited.(i) then begin
+                st.awaited.(i) <- false;
+                st.awaiting <- st.awaiting - 1
+              end);
+          let acc =
+            match x with
+            | X.Data m | X.Resync (Some m) -> (u, m) :: acc
+            | X.Hello | X.Resync None -> acc
+          in
+          absorb st acc rest
+    in
+    (* the user's outbox fills its neighbors' send slots *)
+    let rec fill st round v = function
+      | [] -> ()
+      | (u, m) :: rest ->
+          let i = Engine.neighbor_index st.nbrs u in
+          if i < 0 then
+            invalid_arg
+              (Printf.sprintf "Recovery.run(%s): round %d: node %d sent to non-neighbor %d"
+                 label round v u);
+          st.data.(i) <- Some m;
+          fill st round v rest
+    in
+    (* emit at most one message per neighbor, Hello > Resync > Data, in
+       ascending neighbor order, consed onto [out]; a deferred slot
+       drains on a later round *)
+    let rec emit st i out =
+      if i = Array.length st.nbrs then out
+      else
+        let u = st.nbrs.(i) in
+        let out =
+          if st.hello then (u, X.Hello) :: out
+          else if st.resync_owed.(i) then begin
+            st.resync_owed.(i) <- false;
+            (u, X.Resync (P.resync st.user)) :: out
+          end
+          else
+            match st.data.(i) with
+            | Some m ->
+                st.data.(i) <- None;
+                (u, X.Data m) :: out
+            | None -> out
+        in
+        emit st (i + 1) out
     in
     let wrap_step ~round ~node:v st inbox =
-      (* absorb: user payloads go to the user inbox; a Hello makes us owe
-         that neighbor a Resync; any payload-bearing message from an
-         awaited neighbor completes that part of the handshake *)
-      let user_in = ref [] in
-      List.iter
-        (fun (u, x) ->
-          (match x with
-          | X.Data _ | X.Resync _ -> Hashtbl.remove st.await u
-          | X.Hello -> ());
-          match x with
-          | X.Data m | X.Resync (Some m) -> user_in := (u, m) :: !user_in
-          | X.Resync None -> ()
-          | X.Hello -> (Hashtbl.find st.cells u).resync_owed <- true)
-        inbox;
-      let user_in = Engine.sort_inbox !user_in in
-      let user, user_out = P.step ~round ~node:v st.user user_in in
-      List.iter (fun (u, m) -> (Hashtbl.find st.cells u).data <- Some m) user_out;
+      let user_in = Engine.sort_inbox (absorb st [] inbox) in
+      let stepped, user_out = P.step ~round ~node:v st.user user_in in
+      st.user <- stepped;
+      fill st round v user_out;
       if checkpoint_every > 0 && round > 0 && round mod checkpoint_every = 0 then begin
-        let snap = P.snapshot user in
+        let snap = P.snapshot stepped in
         stable.(v) <- Some snap;
         Metrics.add_count metrics Checkpoints 1;
         Metrics.add_count metrics Checkpoint_words (Array.length snap);
@@ -97,8 +154,7 @@ module Make (P : RECOVERABLE) = struct
           Repro_obs.Sink.emit sink
             (Repro_obs.Event.Checkpoint { round; node = v; words = Array.length snap })
       end;
-      let awaiting = Hashtbl.length st.await in
-      if awaiting > 0 then Metrics.add_count metrics Resync_rounds 1
+      if st.awaiting > 0 then Metrics.add_count metrics Resync_rounds 1
       else if st.resyncing then begin
         (* the post-restart handshake just completed: every neighbor has
            been heard from since the reboot *)
@@ -106,35 +162,11 @@ module Make (P : RECOVERABLE) = struct
         if tracing then
           Repro_obs.Sink.emit sink (Repro_obs.Event.Recovery_resync { round; node = v })
       end;
-      (* emit at most one message per neighbor, Hello > Resync > Data;
-         a deferred slot drains on a later round *)
-      let out = ref [] in
-      Array.iter
-        (fun u ->
-          let c = Hashtbl.find st.cells u in
-          if st.hello then out := (u, X.Hello) :: !out
-          else if c.resync_owed then begin
-            c.resync_owed <- false;
-            out := (u, X.Resync (P.resync user)) :: !out
-          end
-          else
-            match c.data with
-            | Some m ->
-                c.data <- None;
-                out := (u, X.Data m) :: !out
-            | None -> ())
-        st.nbrs;
+      let out = emit st 0 [] in
       st.hello <- false;
-      ({ st with user }, !out)
+      (st, out)
     in
-    let wrap_active st =
-      P.active st.user || st.hello
-      || Array.exists
-           (fun u ->
-             let c = Hashtbl.find st.cells u in
-             c.resync_owed || c.data <> None)
-           st.nbrs
-    in
+    let wrap_active st = P.active st.user || st.hello || pending st 0 in
     let states =
       T.run skeleton ?faults ~init:wrap_init ~step:wrap_step ~active:wrap_active
         ~on_restart:wrap_restart ?max_rounds ?max_words ~metrics ~label ()

@@ -102,10 +102,9 @@ let build g dec ~metrics =
           for j = 0 to b - 1 do
             if i <> j then begin
               let w = direct_w bag.(i) bag.(j) in
-              h.(i).(j) <-
-                (match Labeling.find labels.(bag.(i)) bag.(j) with
-                | d, _ -> Int.min w d
-                | exception Not_found -> w)
+              let la = labels.(bag.(i)) in
+              let p = Labeling.position la bag.(j) in
+              h.(i).(j) <- (if p < 0 then w else Int.min w (Labeling.d_to_at la p))
             end
           done
         done);
@@ -152,15 +151,15 @@ let build g dec ~metrics =
             if pos.(u) < 0 then begin
               let k = child_of.(u) in
               assert (k >= 0);
-              let gs = gateways.(k) and reach = ref 0 in
+              let gs = gateways.(k) and la = labels.(u) and reach = ref 0 in
               for gi = 0 to Array.length gs - 1 do
-                match Labeling.find labels.(u) bag.(gs.(gi)) with
-                | dt, df ->
-                    r_pos.(!reach) <- gs.(gi);
-                    r_to.(!reach) <- dt;
-                    r_from.(!reach) <- df;
-                    incr reach
-                | exception Not_found -> ()
+                let p = Labeling.position la bag.(gs.(gi)) in
+                if p >= 0 then begin
+                  r_pos.(!reach) <- gs.(gi);
+                  r_to.(!reach) <- Labeling.d_to_at la p;
+                  r_from.(!reach) <- Labeling.d_from_at la p;
+                  incr reach
+                end
               done;
               for j = 0 to b - 1 do
                 let d_to = ref inf and d_from = ref inf in
@@ -171,7 +170,7 @@ let build g dec ~metrics =
                   if r_from.(r) < inf && h.(j).(ai) < inf then
                     d_from := Int.min !d_from (h.(j).(ai) + r_from.(r))
                 done;
-                Labeling.set labels.(u) ~anchor:bag.(j) ~d_to:!d_to ~d_from:!d_from
+                Labeling.set la ~anchor:bag.(j) ~d_to:!d_to ~d_from:!d_from
               done
             end)
           vset);

@@ -1,59 +1,144 @@
 module Digraph = Repro_graph.Digraph
 
-type t = { owner : int; entries : (int, int * int) Hashtbl.t }
+(* Entries [0 .. len - 1] of the three parallel arrays, sorted by
+   strictly increasing anchor; the arrays' tails are spare capacity. *)
+type t = {
+  owner : int;
+  mutable len : int;
+  mutable anchor : int array;
+  mutable d_to : int array;
+  mutable d_from : int array;
+}
 
-let create owner = { owner; entries = Hashtbl.create 16 }
+let create owner = { owner; len = 0; anchor = [||]; d_to = [||]; d_from = [||] }
 let owner t = t.owner
+let length t = t.len
+
+(* a position past [len] would read spare capacity *)
+let at a t i = if i < t.len then a.(i) else invalid_arg "Labeling: position past the last entry"
+let anchor_at t i = at t.anchor t i
+let d_to_at t i = at t.d_to t i
+let d_from_at t i = at t.d_from t i
+
+(* Element-wise copies and shifts, never [Array.blit]: a label's arrays
+   soon outgrow the minor heap, and blitting into a major-heap array
+   runs the write barrier on every element, where a loop over an
+   [int array] stores directly. *)
+let copy_prefix src len cap =
+  let dst = Array.make cap 0 in
+  for i = 0 to len - 1 do
+    dst.(i) <- src.(i)
+  done;
+  dst
+
+let grow t =
+  let cap = max 8 (2 * Array.length t.anchor) in
+  t.anchor <- copy_prefix t.anchor t.len cap;
+  t.d_to <- copy_prefix t.d_to t.len cap;
+  t.d_from <- copy_prefix t.d_from t.len cap
+
+(* the first position whose anchor is at least [a], or [len] *)
+let lower_bound t a =
+  let lo = ref 0 and hi = ref t.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.anchor.(mid) < a then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let position t a =
+  let i = lower_bound t a in
+  if i < t.len && t.anchor.(i) = a then i else -1
 
 (* Min-merge: entries for the same anchor may be produced at several
    decomposition levels (and by sibling subtrees sharing the pair); every
    produced value is the length of a real walk, so keeping the
    componentwise minimum is always sound and only improves precision. *)
 let set t ~anchor ~d_to ~d_from =
-  match Hashtbl.find_opt t.entries anchor with
-  | Some (dt, df) -> Hashtbl.replace t.entries anchor (min dt d_to, min df d_from)
-  | None -> Hashtbl.replace t.entries anchor (d_to, d_from)
+  let n = t.len in
+  if n = 0 || t.anchor.(n - 1) < anchor then begin
+    (* past the last anchor: the codec reader and SSSP's rebuild insert
+       in ascending order, so they always append here *)
+    if n = Array.length t.anchor then grow t;
+    t.anchor.(n) <- anchor;
+    t.d_to.(n) <- d_to;
+    t.d_from.(n) <- d_from;
+    t.len <- n + 1
+  end
+  else begin
+    let i = lower_bound t anchor in
+    if t.anchor.(i) = anchor then begin
+      if d_to < t.d_to.(i) then t.d_to.(i) <- d_to;
+      if d_from < t.d_from.(i) then t.d_from.(i) <- d_from
+    end
+    else begin
+      if n = Array.length t.anchor then grow t;
+      let a = t.anchor and dt = t.d_to and df = t.d_from in
+      for k = n downto i + 1 do
+        a.(k) <- a.(k - 1);
+        dt.(k) <- dt.(k - 1);
+        df.(k) <- df.(k - 1)
+      done;
+      a.(i) <- anchor;
+      dt.(i) <- d_to;
+      df.(i) <- d_from;
+      t.len <- n + 1
+    end
+  end
 
-let dist_to t anchor = Option.map fst (Hashtbl.find_opt t.entries anchor)
-let dist_from t anchor = Option.map snd (Hashtbl.find_opt t.entries anchor)
-let find t anchor = Hashtbl.find t.entries anchor
+let find t a =
+  let i = position t a in
+  if i < 0 then raise Not_found else (t.d_to.(i), t.d_from.(i))
 
 let anchors t =
-  List.sort compare (Hashtbl.fold (fun a _ acc -> a :: acc) t.entries [])
+  let acc = ref [] in
+  for i = t.len - 1 downto 0 do
+    acc := t.anchor.(i) :: !acc
+  done;
+  !acc
 
+(* A merge-join of the two sorted anchor arrays. A [while] loop over
+   local refs allocates nothing; a local recursive function capturing
+   the arrays would allocate its closure on every call. *)
 let decode la_u la_v =
-  let best = ref Digraph.inf in
-  Hashtbl.iter
-    (fun anchor (d_to, _) ->
-      match Hashtbl.find_opt la_v.entries anchor with
-      | Some (_, d_from) ->
-          if d_to < Digraph.inf && d_from < Digraph.inf && d_to + d_from < !best then
-            best := d_to + d_from
-      | None -> ())
-    la_u.entries;
+  let au = la_u.anchor and to_u = la_u.d_to and nu = la_u.len in
+  let av = la_v.anchor and from_v = la_v.d_from and nv = la_v.len in
+  let inf = Digraph.inf in
+  let best = ref inf and i = ref 0 and j = ref 0 in
+  while !i < nu && !j < nv do
+    let a = au.(!i) and b = av.(!j) in
+    if a < b then incr i
+    else if a > b then incr j
+    else begin
+      let d_to = to_u.(!i) and d_from = from_v.(!j) in
+      if d_to < inf && d_from < inf && d_to + d_from < !best then best := d_to + d_from;
+      incr i;
+      incr j
+    end
+  done;
   !best
 
-let size_words t = 3 * Hashtbl.length t.entries
+let size_words t = 3 * t.len
 
 let equal a b =
   a.owner = b.owner
-  && Hashtbl.length a.entries = Hashtbl.length b.entries
-  && List.for_all
-       (fun anchor ->
-         match (Hashtbl.find_opt a.entries anchor, Hashtbl.find_opt b.entries anchor) with
-         | Some (dt, df), Some (dt', df') -> dt = dt' && df = df'
-         | _ -> false)
-       (anchors a)
+  && a.len = b.len
+  &&
+  let rec same i =
+    i = a.len
+    || a.anchor.(i) = b.anchor.(i)
+       && a.d_to.(i) = b.d_to.(i)
+       && a.d_from.(i) = b.d_from.(i)
+       && same (i + 1)
+  in
+  same 0
 
-let pp fmt t =
-  Format.fprintf fmt "la(%d): %d anchors" t.owner (Hashtbl.length t.entries)
+let pp fmt t = Format.fprintf fmt "la(%d): %d anchors" t.owner t.len
 
 let to_string t =
   let buf = Buffer.create 64 in
   Buffer.add_string buf (string_of_int t.owner);
-  List.iter
-    (fun a ->
-      let d_to, d_from = Hashtbl.find t.entries a in
-      Buffer.add_string buf (Printf.sprintf " %d %d %d" a d_to d_from))
-    (anchors t);
+  for i = 0 to t.len - 1 do
+    Buffer.add_string buf (Printf.sprintf " %d %d %d" t.anchor.(i) t.d_to.(i) t.d_from.(i))
+  done;
   Buffer.contents buf

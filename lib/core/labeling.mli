@@ -9,11 +9,23 @@
 
       dec(la(u), la(v)) = min over shared anchors s of d(u,s) + d(s,v)
 
-    recovers [d_G(u, v)] exactly (Lemma 2). *)
+    recovers [d_G(u, v)] exactly (Lemma 2).
+
+    {b Representation} (DESIGN §3h). A label is its owner, a length [k]
+    and three parallel [int] arrays — anchor, [d_to], [d_from] — whose
+    first [k] slots hold the entries sorted by strictly increasing
+    anchor; the arrays double when full. Costs, for a label of [k]
+    entries: {!decode} is a merge-join of the two anchor arrays,
+    O(k_u + k_v) and allocation-free; {!position}, {!find} and the
+    lookups behind them are a binary search, O(log k); {!set} appends
+    in O(1) amortized when the anchor exceeds every present one, and
+    otherwise costs a binary search plus a shift of the larger anchors,
+    O(k); the positional reads are O(1). *)
 
 type t
 
-(** [create owner] is an empty label for vertex [owner]. *)
+(** [create owner] is an empty label for vertex [owner]. It allocates
+    no arrays until the first {!set}. *)
 val create : int -> t
 
 val owner : t -> int
@@ -21,25 +33,45 @@ val owner : t -> int
 (** [set label ~anchor ~d_to ~d_from] installs the entry for [anchor]
     ([d_to] = distance owner->anchor, [d_from] = anchor->owner),
     min-merging componentwise with any existing entry: every produced
-    value is a real walk length, so the minimum is always sound. *)
+    value is a real walk length, so the minimum is always sound.
+    Inserting in ascending anchor order takes the append path, which
+    allocates only when the arrays double. *)
 val set : t -> anchor:int -> d_to:int -> d_from:int -> unit
 
-(** [dist_to label anchor] is [Some (d owner->anchor)] if present. *)
-val dist_to : t -> int -> int option
+(** {1 Entries by position}
 
-val dist_from : t -> int -> int option
+    Positions [0 .. length label - 1] index the entries in ascending
+    anchor order. None of these allocates. *)
 
-(** [find label anchor] is the stored [(d_to, d_from)] pair, without
-    allocating (the codec's writer reads every entry twice).
+(** [length label] is the number of entries. *)
+val length : t -> int
+
+(** [anchor_at label i] is the anchor of entry [i]; [d_to_at] and
+    [d_from_at] are its distances.
+    @raise Invalid_argument unless [0 <= i < length label]. *)
+val anchor_at : t -> int -> int
+
+val d_to_at : t -> int -> int
+val d_from_at : t -> int -> int
+
+(** [position label anchor] is the position of [anchor]'s entry, or
+    [-1] when [anchor] is absent. *)
+val position : t -> int -> int
+
+(** {1 Lookups} *)
+
+(** [find label anchor] is the stored [(d_to, d_from)] pair. The pair
+    is built on each call (3 words on the minor heap); the positional
+    reads above are the allocation-free way to the same values.
     @raise Not_found if [anchor] is absent. *)
 val find : t -> int -> int * int
 
-(** [anchors label] lists the anchor vertices, sorted. *)
+(** [anchors label] lists the anchor vertices, sorted (a fresh list). *)
 val anchors : t -> int list
 
 (** [decode la_u la_v] is the exact distance from [owner la_u] to
     [owner la_v] per the decoder above; [Digraph.inf] when no common
-    anchor connects them. *)
+    anchor connects them. It allocates nothing. *)
 val decode : t -> t -> int
 
 (** [size_words label] is the label size in machine words (3 words per

@@ -14,14 +14,12 @@ let run ?faults ?reliable g labels ~source ~metrics =
   let tree = Bfs_tree.build ?faults ?reliable skeleton ~root:source ~metrics in
   let la_s = labels.(source) in
   (* stream the source label: anchor id, d_to, d_from per entry *)
-  let items =
-    List.concat_map
-      (fun a ->
-        let dt = Option.value ~default:Digraph.inf (Labeling.dist_to la_s a) in
-        let df = Option.value ~default:Digraph.inf (Labeling.dist_from la_s a) in
-        [ a; dt; df ])
-      (Labeling.anchors la_s)
-  in
+  let items = ref [] in
+  for i = Labeling.length la_s - 1 downto 0 do
+    items :=
+      Labeling.anchor_at la_s i :: Labeling.d_to_at la_s i :: Labeling.d_from_at la_s i :: !items
+  done;
+  let items = !items in
   let before = Metrics.rounds metrics in
   let received = Broadcast.stream_down ?faults ?reliable tree ~items ~metrics in
   let broadcast_rounds = Metrics.rounds metrics - before in

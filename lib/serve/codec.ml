@@ -82,10 +82,6 @@ let encode_anchors anchors =
 let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
 let unzigzag z = if z land 1 = 0 then z lsr 1 else -((z + 1) lsr 1)
 
-let distances la a =
-  try Labeling.find la a
-  with Not_found -> invalid_arg "Codec.write_body: anchor absent from label"
-
 (* [d_from] against a finite [d_to] is stored as a zigzagged delta *)
 let residual d_to d_from =
   if d_from >= inf then inf else if d_to < inf then zigzag (d_from - d_to) else d_from
@@ -115,12 +111,17 @@ let body c ?owner_hint ~anchors src =
   in
   let la = match src with Some la -> la | None -> Labeling.create owner in
   let k = Array.length anchors in
+  (* the writer reads the label's entries by position: [anchors] must
+     be the label's own anchor set *)
+  let mismatch () = invalid_arg "Codec.write_body: anchors differ from the label's" in
+  (match c with Enc _ when k <> Labeling.length la -> mismatch () | _ -> ());
   if k > 0 then begin
     let max_to = ref 0 and max_res = ref 0 and sym = ref true in
     (match c with
     | Enc _ ->
         for i = 0 to k - 1 do
-          let d_to, d_from = distances la anchors.(i) in
+          if Labeling.anchor_at la i <> anchors.(i) then mismatch ();
+          let d_to = Labeling.d_to_at la i and d_from = Labeling.d_from_at la i in
           if min d_from inf <> min d_to inf then sym := false;
           if d_to < inf && d_to > !max_to then max_to := d_to;
           let r = residual d_to d_from in
@@ -131,14 +132,15 @@ let body c ?owner_hint ~anchors src =
     let sym = flag c !sym in
     let w2 = if sym then 0 else width c "residual" (!max_res + 1) in
     for i = 0 to k - 1 do
-      let d_to, d_from = match c with Enc _ -> distances la anchors.(i) | Dec _ -> (0, 0) in
-      let d_to = column c ~bits:w1 d_to in
+      let d_to = column c ~bits:w1 (match c with Enc _ -> Labeling.d_to_at la i | Dec _ -> 0) in
       let d_from =
         if sym then d_to
         else
+          let d_from = match c with Enc _ -> Labeling.d_from_at la i | Dec _ -> 0 in
           let r = column c ~bits:w2 (residual d_to d_from) in
           if r >= inf then inf else if d_to < inf then d_to + unzigzag r else r
       in
+      (* the anchors ascend, so every insert appends *)
       match c with Dec _ -> Labeling.set la ~anchor:anchors.(i) ~d_to ~d_from | Enc _ -> ()
     done
   end;
@@ -150,7 +152,10 @@ let read_body ?owner_hint r ~anchors = body (Dec r) ?owner_hint ~anchors None
 (* Whole label: its anchor block, then its body. *)
 let label c src =
   let anchors =
-    anchor_block c (match src with Some la -> Array.of_list (Labeling.anchors la) | None -> [||])
+    anchor_block c
+      (match src with
+      | Some la -> Array.init (Labeling.length la) (Labeling.anchor_at la)
+      | None -> [||])
   in
   body c ~anchors src
 

@@ -44,7 +44,7 @@ let u32 buf v =
 let add_section buf ~header ~shard_size labels =
   let count = Array.length labels in
   let anchors_of =
-    Array.map (fun la -> Array.of_list (Labeling.anchors la)) labels
+    Array.map (fun la -> Array.init (Labeling.length la) (Labeling.anchor_at la)) labels
   in
   (* anchor-set pool: keyed by the encoded block so identical sets —
      one per sibling group sharing B^up — are stored once. All blocks

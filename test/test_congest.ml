@@ -817,6 +817,26 @@ let test_recovery_crash_free_zero_round_overhead () =
   check_int "no recoveries" 0 (Metrics.get m Recoveries);
   check_int "no resync rounds" 0 (Metrics.get m Resync_rounds)
 
+(* the recovery layer checks its user's outbox like the engine and the
+   transport, under its own name *)
+module Sends_to_2 = Recovery.Make (struct
+  module Msg = IntMsg
+
+  type st = bool
+
+  let init _ = true
+  let step ~round:_ ~node st _ = if node = 0 && st then (false, [ (2, 1) ]) else (false, [])
+  let active st = st
+  let snapshot _ = [||]
+  let restore ~node:_ _ = false
+  let resync _ = None
+end)
+
+let test_recovery_rejects_non_neighbor () =
+  Alcotest.check_raises "non neighbor"
+    (Invalid_argument "Recovery.run(t): round 0: node 0 sent to non-neighbor 2") (fun () ->
+      ignore (Sends_to_2.run (Generators.path 3) ~metrics:(Metrics.create ()) ~label:"t" ()))
+
 let test_transport_watermark_dedup_exact () =
   (* satellite regression for the delivered-seq watermark: a pipelined
      stream under heavy duplication/delay still arrives exactly once and
@@ -1375,6 +1395,18 @@ let test_single_cut_drops_copies () =
        ~metrics:m ~label:"t" ());
   check_bool "the straggler's copies dropped" true (Metrics.get m Dropped > 0)
 
+let test_detector_rejects_non_neighbor () =
+  let module D = Detector.Make (IntMsg) in
+  Alcotest.check_raises "non neighbor"
+    (Invalid_argument "Detector(t): 2 is not a neighbor of 0") (fun () ->
+      ignore
+        (D.run (Generators.path 3)
+           ~init:(fun _ -> true)
+           ~step:(fun ~round:_ ~node ~suspected st _ ->
+             if node = 0 && st then ignore (suspected 2);
+             (false, []))
+           ~active:Fun.id ~metrics:(Metrics.create ()) ~label:"t" ()))
+
 let test_spec_roundtrips () =
   let crash s =
     match Fault.parse_crash s with
@@ -1658,6 +1690,7 @@ let () =
           Alcotest.test_case "spec errors name the field" `Quick
             test_spec_errors_name_field_and_grammar;
           Alcotest.test_case "one cut pair drops its copies" `Quick test_single_cut_drops_copies;
+          Alcotest.test_case "detector non neighbor" `Quick test_detector_rejects_non_neighbor;
         ] );
       ( "transport",
         [
@@ -1684,6 +1717,7 @@ let () =
           Alcotest.test_case "flood amnesia" `Quick test_recovery_flood_amnesia;
           Alcotest.test_case "crash-free zero overhead" `Quick
             test_recovery_crash_free_zero_round_overhead;
+          Alcotest.test_case "non neighbor" `Quick test_recovery_rejects_non_neighbor;
         ] );
       ( "bfs tree",
         [

@@ -18,6 +18,7 @@ module Async_engine = Repro_congest.Async_engine
 module Transport = Repro_congest.Transport
 module Cache = Repro_serve.Cache
 module Bitio = Repro_serve.Bitio
+module Labeling = Repro_core.Labeling
 module Event = Repro_obs.Event
 module Sink = Repro_obs.Sink
 module Recorder = Repro_obs.Recorder
@@ -654,7 +655,23 @@ let test_zero_alloc_paths () =
         ignore (Bitio.get r ~bits:7);
         ignore (Bitio.get_varint r)
       done);
-  check_bool "stream consumed" true (Bitio.bits_left r < 8)
+  check_bool "stream consumed" true (Bitio.bits_left r < 8);
+  (* anchors 2 and 5 are shared, 3 and 7 one-sided, and 9 shared but
+     at distance inf from u in both directions *)
+  let la_u = Labeling.create 0 and la_v = Labeling.create 1 in
+  List.iter
+    (fun (anchor, d_to, d_from) -> Labeling.set la_u ~anchor ~d_to ~d_from)
+    [ (2, 4, 1); (3, 1, 1); (5, 2, 6); (9, Digraph.inf, Digraph.inf) ];
+  List.iter
+    (fun (anchor, d_to, d_from) -> Labeling.set la_v ~anchor ~d_to ~d_from)
+    [ (2, 3, 8); (5, 1, 1); (7, 0, 0); (9, 0, 0) ];
+  check_zero_alloc "Labeling.decode" (fun () ->
+      for _ = 1 to 500 do
+        ignore (Labeling.decode la_u la_v);
+        ignore (Labeling.decode la_v la_u)
+      done);
+  check_int "decode u -> v" 3 (Labeling.decode la_u la_v);
+  check_int "decode v -> u" 4 (Labeling.decode la_v la_u)
 
 (* A disabled-but-counting sink driven through a forced-async run under
    timing faults: the synchronizer's Pulse/Safe/Straggle emit sites must
@@ -766,7 +783,21 @@ let test_engine_words_per_idle_node_step () =
   check "transport" ~ceiling:(12.972 +. 2.) (fun m ->
       ignore
         (Word_transport.run g ~init:(fun _ -> true) ~step ~active:Fun.id ~metrics:m
-           ~label:"idle" ()))
+           ~label:"idle" ()));
+  let module Idle_recovery = Recovery.Make (struct
+    module Msg = Word
+
+    type st = bool
+
+    let init _ = true
+    let step = step
+    let active = Fun.id
+    let snapshot _ = [||]
+    let restore ~node:_ _ = false
+    let resync _ = None
+  end) in
+  check "recovery" ~ceiling:(20.028 +. 2.) (fun m ->
+      ignore (Idle_recovery.run g ~checkpoint_every:0 ~metrics:m ~label:"idle" ()))
 
 let () =
   let q = QCheck_alcotest.to_alcotest in

@@ -105,6 +105,130 @@ let prop_bitio_roundtrip =
       List.for_all (fun (bits, v) -> Bitio.get r ~bits = v) fields)
 
 (* ------------------------------------------------------------------ *)
+(* Labeling: the sorted arrays against the hashtable model *)
+
+(* The label as it was stored before the sorted arrays: a hashtable
+   from anchor to its distance pair, every operation written the
+   obvious way. It is the reference model of the property below. *)
+module Ref_label = struct
+  type t = { owner : int; entries : (int, int * int) Hashtbl.t }
+
+  let create owner = { owner; entries = Hashtbl.create 16 }
+
+  let set t ~anchor ~d_to ~d_from =
+    match Hashtbl.find_opt t.entries anchor with
+    | Some (dt, df) -> Hashtbl.replace t.entries anchor (min dt d_to, min df d_from)
+    | None -> Hashtbl.replace t.entries anchor (d_to, d_from)
+
+  let find t anchor = Hashtbl.find_opt t.entries anchor
+
+  let anchors t = List.sort compare (Hashtbl.fold (fun a _ acc -> a :: acc) t.entries [])
+
+  let decode la_u la_v =
+    Hashtbl.fold
+      (fun anchor (d_to, _) best ->
+        match Hashtbl.find_opt la_v.entries anchor with
+        | Some (_, d_from) when d_to < Digraph.inf && d_from < Digraph.inf ->
+            min best (d_to + d_from)
+        | _ -> best)
+      la_u.entries Digraph.inf
+
+  let size_words t = 3 * Hashtbl.length t.entries
+
+  let equal a b =
+    a.owner = b.owner
+    && Hashtbl.length a.entries = Hashtbl.length b.entries
+    && List.for_all (fun x -> find a x = find b x) (anchors a)
+
+  let to_string t =
+    String.concat " "
+      (string_of_int t.owner
+      :: List.map
+           (fun a ->
+             let d_to, d_from = Hashtbl.find t.entries a in
+             Printf.sprintf "%d %d %d" a d_to d_from)
+           (anchors t))
+end
+
+type set_order = Ascending | Descending | Shuffled
+
+(* Each case is a few labels, each given by an owner and a list of
+   [set] calls: anchors from a small range, so labels share some and
+   repeat some (min-merge); distances [inf] one time in four. Every
+   label is built twice, from its calls in two orders, so [equal]
+   also meets pairs that must be equal. *)
+let arbitrary_set_sequences =
+  let open QCheck in
+  let dist = Gen.(frequency [ (1, return Digraph.inf); (3, int_range 0 60) ]) in
+  let order = Gen.oneofl [ Ascending; Descending; Shuffled ] in
+  let label =
+    Gen.(
+      quad (int_range 0 2)
+        (list_size (int_range 0 24) (triple (int_range 0 30) dist dist))
+        order order)
+  in
+  let print (owner, calls, o1, o2) =
+    let name = function Ascending -> "asc" | Descending -> "desc" | Shuffled -> "shuffled" in
+    Printf.sprintf "owner %d, %s then %s: %s" owner (name o1) (name o2)
+      (String.concat "; "
+         (List.map (fun (a, t, f) -> Printf.sprintf "%d %d %d" a t f) calls))
+  in
+  make ~print:(Print.list print) Gen.(list_size (int_range 1 4) label)
+
+let in_order order calls =
+  let by_anchor (a, _, _) (b, _, _) = Int.compare a b in
+  match order with
+  | Ascending -> List.stable_sort by_anchor calls
+  | Descending -> List.stable_sort (fun x y -> by_anchor y x) calls
+  | Shuffled -> calls
+
+let prop_labeling_model =
+  QCheck.Test.make ~name:"labels: sorted arrays = hashtable model" ~count:500
+    ~long_factor:200 arbitrary_set_sequences (fun specs ->
+      let built =
+        List.concat_map
+          (fun (owner, calls, o1, o2) ->
+            List.map
+              (fun order ->
+                let la = Labeling.create owner and rf = Ref_label.create owner in
+                List.iter
+                  (fun (anchor, d_to, d_from) ->
+                    Labeling.set la ~anchor ~d_to ~d_from;
+                    Ref_label.set rf ~anchor ~d_to ~d_from)
+                  (in_order order calls);
+                (la, rf))
+              [ o1; o2 ])
+          specs
+      in
+      let agrees (la, rf) =
+        (* every anchor in range, present or absent, and two outside it *)
+        let lookups_agree a =
+          let p = Labeling.position la a in
+          let found = match Labeling.find la a with d -> Some d | exception Not_found -> None in
+          found = Ref_label.find rf a
+          && (p < 0) = (found = None)
+          && (p < 0 || Some (Labeling.d_to_at la p, Labeling.d_from_at la p) = found)
+        in
+        Labeling.anchors la = Ref_label.anchors rf
+        && List.init (Labeling.length la) (Labeling.anchor_at la) = Ref_label.anchors rf
+        && (match Labeling.d_to_at la (Labeling.length la) with
+           | _ -> false
+           | exception Invalid_argument _ -> true)
+        && Labeling.size_words la = Ref_label.size_words rf
+        && String.equal (Labeling.to_string la) (Ref_label.to_string rf)
+        && List.for_all lookups_agree (List.init 33 (fun a -> a - 1))
+      in
+      List.for_all agrees built
+      && List.for_all
+           (fun (la, rf) ->
+             List.for_all
+               (fun (lb, rg) ->
+                 Labeling.decode la lb = Ref_label.decode rf rg
+                 && Labeling.equal la lb = Ref_label.equal rf rg)
+               built)
+           built)
+
+(* ------------------------------------------------------------------ *)
 (* Codec: encode . decode = id *)
 
 let arbitrary_label =
@@ -828,7 +952,7 @@ let test_server_large_stream () =
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_bitio_roundtrip; prop_codec_roundtrip; prop_store_fuzz ]
+      [ prop_bitio_roundtrip; prop_codec_roundtrip; prop_store_fuzz; prop_labeling_model ]
   in
   Alcotest.run "repro_serve"
     [
