@@ -92,11 +92,17 @@ module Make (M : Engine.MSG) = struct
 
   module T = Transport.Make (Beat_msg)
 
+  (* A node's record, built once per boot and updated in place by each
+     step. Its arrays are aligned with the sorted [nbrs]:
+     [Engine.neighbor_index] finds a neighbor's slot. *)
   type 'st node = {
-    user : 'st;
-    nbrs : int array;  (* sorted: [Engine.neighbor_index] maps a neighbor to its position *)
-    last_heard : int array;  (* per [nbrs] position: last round anything arrived *)
-    suspect : bool array;  (* per [nbrs] position *)
+    mutable user : 'st;
+    nbrs : int array;
+    last_heard : int array;  (* last round anything arrived *)
+    suspect : bool array;
+    suspected : int -> bool;  (* the user's view of [suspect], built once per boot *)
+    queued : int array;  (* last round user data was queued to the neighbor *)
+    beat_heard : int array;  (* last round a [Beat] arrived from the neighbor *)
     mutable watch : int;  (* rounds of detector service left before standing down *)
     mutable next_beat : int;
   }
@@ -117,14 +123,24 @@ module Make (M : Engine.MSG) = struct
     let watch0 = timeout + (2 * period) in
     let sink = !Engine.trace_sink in
     let tracing = sink.Repro_obs.Sink.enabled in
-    let fresh_node ~round v user =
+    let fresh_node ~round v booted =
       let nbrs = Digraph.neighbors skeleton v in
       let deg = Array.length nbrs in
+      let suspect = Array.make deg false in
+      let suspected u =
+        let i = Engine.neighbor_index nbrs u in
+        if i < 0 then
+          invalid_arg (Printf.sprintf "Detector(%s): %d is not a neighbor of %d" label u v);
+        suspect.(i)
+      in
       {
-        user;
+        user = booted;
         nbrs;
         last_heard = Array.make deg round;
-        suspect = Array.make deg false;
+        suspect;
+        suspected;
+        queued = Array.make deg (-1);
+        beat_heard = Array.make deg (-1);
         watch = watch0;
         next_beat = round;
       }
@@ -136,12 +152,12 @@ module Make (M : Engine.MSG) = struct
     let wrap_restart ~round ~node =
       fresh_node ~round node (restart_user ~round ~node)
     in
-    let wrap_step ~round ~node:v st inbox =
-      (* 1. anything that arrives proves the link live: refresh the
-         peer's deadline, clear a standing suspicion, split out data *)
-      let data = ref [] and beaters = ref [] in
-      List.iter
-        (fun (u, bm) ->
+    (* 1. anything that arrives proves the link live: refresh the peer's
+       deadline, clear a standing suspicion, stamp a [Beat]; returns the
+       user data in inbox order *)
+    let rec absorb st v round = function
+      | [] -> []
+      | (u, bm) :: rest -> (
           let i = Engine.neighbor_index st.nbrs u in
           st.last_heard.(i) <- round;
           if st.suspect.(i) then begin
@@ -150,36 +166,62 @@ module Make (M : Engine.MSG) = struct
               Repro_obs.Sink.emit sink (Repro_obs.Event.Clear { round; node = v; peer = u })
           end;
           match bm with
-          | Beat_msg.Data m -> data := (u, m) :: !data
-          | Beat_msg.Beat -> beaters := u :: !beaters
-          | Beat_msg.Pong -> ())
-        inbox;
-      let user_inbox = List.rev !data in
-      let suspected u =
-        let i = Engine.neighbor_index st.nbrs u in
-        if i < 0 then invalid_arg (Printf.sprintf "Detector(%s): %d is not a neighbor of %d" label u v);
-        st.suspect.(i)
-      in
-      let user, user_out = step ~round ~node:v ~suspected st.user user_inbox in
+          | Beat_msg.Data m -> (u, m) :: absorb st v round rest
+          | Beat_msg.Beat ->
+              st.beat_heard.(i) <- round;
+              absorb st v round rest
+          | Beat_msg.Pong -> absorb st v round rest)
+    in
+    (* 3. while on watch, time out silent neighbors, in ascending order *)
+    let rec time_out st v round i =
+      if i < Array.length st.nbrs then begin
+        if (not st.suspect.(i)) && round - st.last_heard.(i) >= timeout then begin
+          st.suspect.(i) <- true;
+          Metrics.add_count metrics Suspicions 1;
+          if tracing then
+            Repro_obs.Sink.emit sink
+              (Repro_obs.Event.Suspect { round; node = v; peer = st.nbrs.(i) })
+        end;
+        time_out st v round (i + 1)
+      end
+    in
+    (* user data rides as [Data] (and proves liveness by itself); a
+       send to a non-neighbor is left for the transport to reject *)
+    let rec wrap_data st round = function
+      | [] -> []
+      | (u, m) :: rest ->
+          let i = Engine.neighbor_index st.nbrs u in
+          if i >= 0 then st.queued.(i) <- round;
+          (u, Beat_msg.Data m) :: wrap_data st round rest
+    in
+    (* a [Beat] to every neighbor not already getting data, ascending,
+       consed onto [out] from the highest position down *)
+    let rec beats st round i out =
+      if i < 0 then out
+      else
+        beats st round (i - 1)
+          (if st.queued.(i) = round then out else (st.nbrs.(i), Beat_msg.Beat) :: out)
+    in
+    (* a [Pong] to every neighbor that beat this round and gets no data *)
+    let rec pongs st round i out =
+      if i < 0 then out
+      else
+        pongs st round (i - 1)
+          (if st.beat_heard.(i) = round && st.queued.(i) <> round then
+             (st.nbrs.(i), Beat_msg.Pong) :: out
+           else out)
+    in
+    let wrap_step ~round ~node:v st inbox =
+      let user_inbox = absorb st v round inbox in
+      let stepped, user_out = step ~round ~node:v ~suspected:st.suspected st.user user_inbox in
+      st.user <- stepped;
       (* 2. the watch: user-level activity re-arms it, silence runs it
          down. Beats deliberately do NOT re-arm it (mutual heartbeating
          would keep the whole system alive forever). *)
-      if user_inbox <> [] || user_out <> [] || active user then st.watch <- watch0
+      if user_inbox <> [] || user_out <> [] || active stepped then st.watch <- watch0
       else st.watch <- st.watch - 1;
-      (* 3. while on watch, time out silent neighbors *)
-      if st.watch > 0 then
-        Array.iteri
-          (fun i u ->
-            if (not st.suspect.(i)) && round - st.last_heard.(i) >= timeout then begin
-              st.suspect.(i) <- true;
-              Metrics.add_count metrics Suspicions 1;
-              if tracing then
-                Repro_obs.Sink.emit sink
-                  (Repro_obs.Event.Suspect { round; node = v; peer = u })
-            end)
-          st.nbrs;
-      (* 4. outbox: user data rides as [Data] (and proves liveness by
-         itself); every [period] rounds, neighbors not already getting
+      if st.watch > 0 then time_out st v round 0;
+      (* 4. outbox: every [period] rounds, neighbors not already getting
          data receive a [Beat]. A node whose watch has expired no longer
          originates beats, but still answers incoming ones with a [Pong]
          — otherwise a neighbor whose user layer stays busy [timeout]
@@ -187,21 +229,14 @@ module Make (M : Engine.MSG) = struct
          speak again) suspect this perfectly live link *)
       let beat_due = st.watch > 0 && round >= st.next_beat in
       if beat_due then st.next_beat <- round + period;
-      let out = List.map (fun (u, m) -> (u, Beat_msg.Data m)) user_out in
+      let out = wrap_data st round user_out in
+      let last = Array.length st.nbrs - 1 in
       let out =
-        if beat_due then
-          Array.fold_right
-            (fun u acc ->
-              if List.mem_assoc u out then acc else (u, Beat_msg.Beat) :: acc)
-            st.nbrs out
-        else if st.watch <= 0 then
-          List.fold_left
-            (fun acc u ->
-              if List.mem_assoc u acc then acc else (u, Beat_msg.Pong) :: acc)
-            out !beaters
+        if beat_due then beats st round last out
+        else if st.watch <= 0 then pongs st round last out
         else out
       in
-      ({ st with user }, out)
+      (st, out)
     in
     let wrap_active st = active st.user || st.watch > 0 in
     let states =

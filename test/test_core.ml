@@ -403,7 +403,29 @@ let test_girth_undirected_faithful_small () =
   let m = Metrics.create () in
   let r = Girth.undirected ~mode:`Faithful ~repeats:6 ~seed:1 g ~metrics:m in
   check_int "faithful labels agree" (Girth_ref.girth g) r.Girth.girth;
-  check_bool "rounds charged" true (Metrics.rounds m > 0)
+  check_bool "rounds charged" true (Metrics.rounds m > 0);
+  (* `Charged computes its trial values centrally, without the product
+     graph: at the same seed and repeats it must return what the CDL
+     construction of `Faithful returns, upper bounds included *)
+  let agree name g ~repeats ~seed =
+    let run mode = Girth.undirected ~mode ~repeats ~seed g ~metrics:(Metrics.create ()) in
+    let f = run `Faithful and c = run `Charged in
+    let name = Printf.sprintf "%s, seed %d" name seed in
+    check_int (name ^ ": girth") f.Girth.girth c.Girth.girth;
+    check_int (name ^ ": trials") f.Girth.trials c.Girth.trials
+  in
+  agree "cycle 6" g ~repeats:6 ~seed:1;
+  List.iter
+    (fun (name, g) -> List.iter (fun seed -> agree name g ~repeats:2 ~seed) [ 1; 2; 3 ])
+    [
+      ( "weighted cycle 12",
+        Generators.random_weights ~seed:13 ~max_weight:5 (Generators.cycle 12) );
+      ( "weighted partial 2-tree",
+        Generators.random_weights ~seed:14 ~max_weight:5
+          (Generators.partial_k_tree ~seed:14 40 2 ~keep:0.6) );
+      ("grid 4x4", Generators.grid 4 4);
+      ("apex 3-cliques", Generators.apex_cliques ~cliques:4 ~size:3);
+    ]
 
 let test_girth_tree_no_cycle () =
   let g = Generators.binary_tree 3 in

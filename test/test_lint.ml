@@ -1,13 +1,12 @@
 (* Unit tests for the model-compliance lint (tools/lint): one positive
    and one negative fixture per rule, scoping, the interprocedural pass
-   (call graph, effect summaries, node-locality / send-discipline), and
-   the baseline workflow (suppression, exact counts, stale detection,
-   --update-baseline rendering). *)
+   (call graph, node-locality / send-discipline), the bandwidth pass,
+   and the baseline workflow (suppression, exact counts, stale
+   detection, --update-baseline rendering). *)
 
 module Lint = Repro_lint.Lint_core
 module Interproc = Repro_lint.Interproc
 module Cg = Repro_lint.Callgraph
-module Effects = Repro_lint.Effects
 module Bandwidth = Repro_lint.Bandwidth
 
 let () = Repro_congest.Engine.audit_enabled := true
@@ -108,7 +107,7 @@ let test_rule_list_is_consistent () =
     Lint.rules
 
 (* ------------------------------------------------------------------ *)
-(* Interprocedural pass: call graph, effects, locality/send rules *)
+(* Interprocedural pass: call graph, locality/send rules *)
 
 (* parse a set of (file, source) pairs and run every interprocedural rule *)
 let interproc sources =
@@ -254,40 +253,6 @@ let test_callgraph_shape () =
         (List.exists
            (fun (s : Cg.sym) -> s.Cg.s_file = "fx/state.ml" && s.Cg.s_path = "lookup")
            b.Cg.calls)
-
-let test_effect_summaries () =
-  let cg, _ =
-    interproc
-      [
-        ( "fx/state.ml",
-          "let counter = ref 0\nlet bump () = incr counter\nlet read () = !counter" );
-        ("fx/mid.ml", "let tick () = State.bump ()");
-        ("fx/io.ml", "let log msg = print_endline msg\nlet boom () = failwith \"boom\"");
-      ]
-  in
-  let eff = Effects.summarize cg in
-  let summary file path =
-    match Effects.find eff { Cg.s_file = file; s_path = path } with
-    | Some s -> s
-    | None -> Alcotest.failf "no summary for %s#%s" file path
-  in
-  (* direct effects *)
-  check_bool "bump mutates" false (Cg.Sym_set.is_empty (summary "fx/state.ml" "bump").Effects.mutates_global);
-  check_bool "read reads" false (Cg.Sym_set.is_empty (summary "fx/state.ml" "read").Effects.reads_global);
-  check_bool "log does io" true (summary "fx/io.ml" "log").Effects.performs_io;
-  check_bool "boom raises" true (summary "fx/io.ml" "boom").Effects.raises_untyped;
-  (* transitive closure across files *)
-  check_bool "tick mutates transitively" false
-    (Cg.Sym_set.is_empty (summary "fx/mid.ml" "tick").Effects.mutates_global);
-  (* and the JSON report mentions the symbol *)
-  let json = Effects.to_json cg eff in
-  check_bool "json has symbol" true
-    (let n = String.length "fx/state.ml#counter" in
-     let rec at i =
-       i + n <= String.length json
-       && (String.sub json i n = "fx/state.ml#counter" || at (i + 1))
-     in
-     at 0)
 
 (* ------------------------------------------------------------------ *)
 (* On-disk fixture directories: the seeded-violation corpus *)
@@ -580,7 +545,6 @@ let () =
           Alcotest.test_case "alias resolution" `Quick test_interproc_alias_resolution;
           Alcotest.test_case "non-callback exempt" `Quick test_interproc_non_callback_is_exempt;
           Alcotest.test_case "callgraph shape" `Quick test_callgraph_shape;
-          Alcotest.test_case "effect summaries" `Quick test_effect_summaries;
           Alcotest.test_case "fixture corpus" `Quick test_fixture_corpus;
         ] );
       ( "baseline",

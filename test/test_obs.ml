@@ -16,6 +16,7 @@ module Bellman_ford = Repro_congest.Bellman_ford
 module Broadcast = Repro_congest.Broadcast
 module Async_engine = Repro_congest.Async_engine
 module Transport = Repro_congest.Transport
+module Detector = Repro_congest.Detector
 module Cache = Repro_serve.Cache
 module Bitio = Repro_serve.Bitio
 module Labeling = Repro_core.Labeling
@@ -433,10 +434,11 @@ let test_replay_divergence_raises () =
 
 (* ------------------------------------------------------------------ *)
 (* Golden traces: the digests of the recorded JSONL trace and of
-   Metrics.to_json for five fixed-seed runs, one per executor mode —
-   sync, reliable transport, crash recovery, async and deadline-paced.
-   A change here means the executor's observable schedule changed, and
-   traces recorded before it no longer replay. *)
+   Metrics.to_json for six fixed-seed runs, one per executor mode —
+   sync, reliable transport, crash recovery, async, deadline-paced and
+   the failure detector (suspicions raised and cleared, a Partial
+   verdict). A change here means the executor's observable schedule
+   changed, and traces recorded before it no longer replay. *)
 
 let golden name ~shows ~trace ~metrics run =
   Alcotest.test_case name `Quick (fun () ->
@@ -516,6 +518,19 @@ let golden_cases =
         Async_engine.deadline := 4;
         Fun.protect ~finally:(fun () -> Async_engine.deadline := saved) (fun () ->
             ignore (Bfs_tree.build_certified ~faults g ~root:0 ~metrics:m)));
+    golden "certified under a permanent cut"
+      ~shows:(function Event.Clear _ -> true | _ -> false)
+      ~trace:"0f0a4628d726043c57ed6b6a128a7a94"
+      ~metrics:"fcfd2a2d23371bb9f5948f45059e8251" (fun m ->
+        let faults =
+          Fault.create ~seed:1
+            (Fault.profile ~drop:0.2 ~corrupt:0.1
+               ~partitions:[ Fault.partition ~from:3 (Fault.Around [ 6 ]) ]
+               ())
+        in
+        match Bfs_tree.build_certified ~faults ~max_retries:4 golden_graph ~root:0 ~metrics:m with
+        | _, Detector.Partial _ -> ()
+        | _, Detector.Complete -> Alcotest.fail "a permanent cut must give a Partial verdict");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -797,7 +812,20 @@ let test_engine_words_per_idle_node_step () =
     let resync _ = None
   end) in
   check "recovery" ~ceiling:(20.028 +. 2.) (fun m ->
-      ignore (Idle_recovery.run g ~checkpoint_every:0 ~metrics:m ~label:"idle" ()))
+      ignore (Idle_recovery.run g ~checkpoint_every:0 ~metrics:m ~label:"idle" ()));
+  (* the detector keeps beating while its watch runs down, so this row
+     is not silent: it pins the beat count instead *)
+  let module Idle_detector = Detector.Make (Word) in
+  let w, m =
+    run_words (fun m ->
+        ignore
+          (Idle_detector.run g ~init:(fun _ -> true)
+             ~step:(fun ~round ~node ~suspected:_ st inbox -> step ~round ~node st inbox)
+             ~active:Fun.id ~metrics:m ~label:"idle" ()))
+  in
+  check_int "detector: beats" 45_144 (Metrics.get m Messages);
+  check_ceiling "detector" ~per:"idle node-step" ~ceiling:(167.638 +. 2.)
+    (w /. float_of_int (Metrics.rounds m * Digraph.n g))
 
 let () =
   let q = QCheck_alcotest.to_alcotest in

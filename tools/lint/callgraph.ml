@@ -1,15 +1,14 @@
 (* Whole-repository symbol/call-graph builder for the interprocedural
    model-compliance rules (DESIGN.md "Model compliance & static
-   analysis", stage 1).
+   analysis", stage 1 of 2).
 
    Every [.ml] handed to [build] is parsed into a Parsetree and reduced
    to its module-level value bindings (including bindings nested in
    modules and functor bodies, qualified as ["Make.run"]). For each
-   binding we record the raw identifier references in its body, the
-   references appearing in mutation position, whether it is itself a
-   module-level mutable value (ref / Hashtbl.create / Array.make /
-   Buffer.create / an array literal / ...), and syntactic effect hints
-   (assert false).
+   binding we record the raw identifier references in its body and
+   whether it is itself a module-level mutable value (ref /
+   Hashtbl.create / Array.make / Buffer.create / an array literal /
+   ...).
 
    References are then resolved across files:
 
@@ -49,23 +48,13 @@ let sym_compare a b =
   | 0 -> String.compare a.s_path b.s_path
   | c -> c
 
-module Sym_set = Set.Make (struct
-  type t = sym
-
-  let compare = sym_compare
-end)
-
 type binding = {
   file : string;
-  path : string;  (* dotted path within the file, e.g. "Make.run" *)
   line : int;
-  col : int;
   is_mutable_value : bool;
   is_charge_site : bool;  (* carries [@@charge_site]: audited accounting entry point *)
   calls : sym list;  (* resolved in-repo references, sorted, deduplicated *)
-  externals : string list;  (* unresolved qualified refs + effectful bare idents *)
-  mutates : sym list;  (* resolved references in mutation position *)
-  asserts_false : bool;
+  externals : string list;  (* unresolved qualified references *)
   expr : Parsetree.expression;  (* the binding's RHS, for the bandwidth pass *)
 }
 
@@ -111,8 +100,6 @@ type raw_binding = {
   rb_mutable : bool;
   rb_charge : bool;
   rb_refs : string list list ref;
-  rb_muts : string list list ref;
-  mutable rb_assert_false : bool;
   rb_expr : Parsetree.expression;
 }
 
@@ -133,24 +120,6 @@ type raw_file = {
 let flatten_lid lid = try Longident.flatten lid with _ -> []
 
 let strip_stdlib = function "Stdlib" :: rest -> rest | p -> p
-
-(* applications whose first argument, when it is a plain identifier,
-   is being mutated in place *)
-let is_mutator p =
-  match strip_stdlib p with
-  | [ (":=" | "incr" | "decr") ] -> true
-  | [ "Hashtbl"; ("replace" | "add" | "remove" | "reset" | "clear" | "filter_map_inplace") ]
-  | [ "Array"; ("set" | "unsafe_set" | "fill" | "blit" | "sort") ] ->
-      true
-  | [ "Buffer"; f ] when String.length f >= 3 && String.sub f 0 3 = "add" -> true
-  | [ "Buffer"; ("clear" | "reset" | "truncate") ]
-  | [ "Queue"; ("add" | "push" | "pop" | "take" | "clear" | "transfer") ]
-  | [ "Stack"; ("push" | "pop" | "clear") ]
-  | [ "Bytes"; ("set" | "unsafe_set" | "fill" | "blit") ]
-  | [ "Atomic"; ("set" | "exchange" | "compare_and_set" | "fetch_and_add" | "incr" | "decr") ]
-    ->
-      true
-  | _ -> false
 
 (* is the right-hand side of a module-level [let] a mutable container? *)
 let rec is_mutable_rhs (e : P.expression) =
@@ -210,7 +179,6 @@ let walk_value ~callbacks ~aliases ~owner (rb : raw_binding) expr0 =
       List.iter (fun acc -> acc := p :: !acc) !stack
     end
   in
-  let add_mut p = if p <> [] then rb.rb_muts := p :: !(rb.rb_muts) in
   (* close a raw reference list over [locals] *)
   let expand_locals refs =
     let seen = Hashtbl.create 8 in
@@ -318,23 +286,7 @@ let walk_value ~callbacks ~aliases ~owner (rb : raw_binding) expr0 =
               | None -> ());
               handle_module_expr me iter;
               iter.expr iter body
-          | P.Pexp_setfield (lhs, _, rhs) ->
-              (match lhs.P.pexp_desc with
-              | P.Pexp_ident { txt; _ } -> add_mut (flatten_lid txt)
-              | _ -> ());
-              iter.expr iter lhs;
-              iter.expr iter rhs
-          | P.Pexp_assert
-              { pexp_desc = P.Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
-            ->
-              rb.rb_assert_false <- true
-          | P.Pexp_apply ({ pexp_desc = P.Pexp_ident { txt; _ }; _ }, args) ->
-              let fpath = flatten_lid txt in
-              (if is_mutator fpath then
-                 match args with
-                 | (_, { P.pexp_desc = P.Pexp_ident { txt = tgt; _ }; _ }) :: _ ->
-                     add_mut (flatten_lid tgt)
-                 | _ -> ());
+          | P.Pexp_apply ({ pexp_desc = P.Pexp_ident _; _ }, args) ->
               let labelled =
                 List.filter_map
                   (function
@@ -376,8 +328,6 @@ let rec walk_structure ~file ~prefix ~as_callbacks ~bindings ~aliases ~callbacks
                       rb_mutable = is_mutable_rhs vb.pvb_expr;
                       rb_charge = has_attr "charge_site" vb.pvb_attributes;
                       rb_refs = ref [];
-                      rb_muts = ref [];
-                      rb_assert_false = false;
                       rb_expr = vb.pvb_expr;
                     }
                   in
@@ -588,19 +538,21 @@ let resolve r ~file p =
               | _ -> None)
           | None -> resolve_in_file r file p))
 
-(* effectful externals worth keeping in the summaries even when they are
-   bare, unqualified identifiers *)
-let effectful_bare = function
-  | "failwith" | "exit" | "at_exit" | "read_line" | "read_int" | "read_int_opt"
-  | "print_string" | "print_endline" | "print_newline" | "print_int" | "print_char"
-  | "print_float" | "print_bytes" | "prerr_string" | "prerr_endline" | "prerr_newline"
-  | "prerr_int" | "prerr_char" | "prerr_float" | "prerr_bytes" | "open_in" | "open_in_bin"
-  | "open_out" | "open_out_bin" | "stdout" | "stderr" | "stdin" ->
-      true
-  | _ -> false
-
-let keep_external p =
-  match p with [] -> false | [ x ] -> effectful_bare x | _ :: _ -> true
+(* split raw references into resolved in-repo symbols and the
+   qualified references that resolve nowhere, each sorted and
+   deduplicated; only a qualified reference can name an external
+   charging function ([Interproc.is_metrics_external]) *)
+let split r ~file refs =
+  let calls = ref [] and exts = ref [] in
+  List.iter
+    (fun p ->
+      match resolve r ~file p with
+      | Some s -> calls := s :: !calls
+      | None ->
+          let p = strip_stdlib (expand_aliases r file p) in
+          if List.compare_length_with p 1 > 0 then exts := String.concat "." p :: !exts)
+    refs;
+  (List.sort_uniq sym_compare !calls, List.sort_uniq String.compare !exts)
 
 (* ------------------------------------------------------------------ *)
 (* Build *)
@@ -614,34 +566,16 @@ let build parsed =
     (fun rf ->
       List.iter
         (fun rb ->
-          let split refs =
-            let calls = ref Sym_set.empty and exts = ref [] in
-            List.iter
-              (fun p ->
-                match resolve r ~file:rf.rf_file p with
-                | Some s -> calls := Sym_set.add s !calls
-                | None ->
-                    let p = strip_stdlib (expand_aliases r rf.rf_file p) in
-                    if keep_external p then exts := String.concat "." p :: !exts)
-              refs;
-            (Sym_set.elements !calls, List.sort_uniq String.compare !exts)
-          in
-          let calls, externals = split !(rb.rb_refs) in
-          let mutates, _ = split !(rb.rb_muts) in
+          let calls, externals = split r ~file:rf.rf_file !(rb.rb_refs) in
           let s = { s_file = rf.rf_file; s_path = String.concat "." rb.rb_path } in
-          let pos = rb.rb_loc.loc_start in
           Hashtbl.replace bindings s
             {
               file = rf.rf_file;
-              path = String.concat "." rb.rb_path;
-              line = pos.pos_lnum;
-              col = pos.pos_cnum - pos.pos_bol;
+              line = rb.rb_loc.loc_start.pos_lnum;
               is_mutable_value = rb.rb_mutable;
               is_charge_site = rb.rb_charge;
               calls;
               externals;
-              mutates;
-              asserts_false = rb.rb_assert_false;
               expr = rb.rb_expr;
             };
           order := s :: !order)
@@ -652,15 +586,7 @@ let build parsed =
       (fun rf ->
         List.map
           (fun rc ->
-            let calls = ref Sym_set.empty and exts = ref [] in
-            List.iter
-              (fun p ->
-                match resolve r ~file:rf.rf_file p with
-                | Some s -> calls := Sym_set.add s !calls
-                | None ->
-                    let p = strip_stdlib (expand_aliases r rf.rf_file p) in
-                    if keep_external p then exts := String.concat "." p :: !exts)
-              rc.rc_refs;
+            let cb_calls, cb_externals = split r ~file:rf.rf_file rc.rc_refs in
             let pos = rc.rc_loc.loc_start in
             {
               cb_file = rf.rf_file;
@@ -668,8 +594,8 @@ let build parsed =
               cb_label = rc.rc_label;
               cb_line = pos.pos_lnum;
               cb_col = pos.pos_cnum - pos.pos_bol;
-              cb_calls = Sym_set.elements !calls;
-              cb_externals = List.sort_uniq String.compare !exts;
+              cb_calls;
+              cb_externals;
             })
           rf.rf_callbacks)
       raws

@@ -1,6 +1,6 @@
-(** Whole-repository symbol/call-graph builder (stage 1 of the
+(** Whole-repository symbol/call-graph builder (stage 1 of 2 of the
     interprocedural model-compliance analysis, DESIGN.md "Model
-    compliance & static analysis").
+    compliance & static analysis"; {!Interproc} is stage 2).
 
     Reduces every parsed [.ml] to its module-level value bindings and
     resolves module-qualified references across files: top-level and
@@ -20,13 +20,9 @@
     [s_file], e.g. ["Make.run"]. *)
 type sym = { s_file : string; s_path : string }
 
-module Sym_set : Set.S with type elt = sym
-
 type binding = {
   file : string;
-  path : string;
   line : int;
-  col : int;
   is_mutable_value : bool;
       (** defined as [ref]/[Hashtbl.create]/[Array.make]/[Buffer.create]/
           an array literal/...: module-level mutable state *)
@@ -36,10 +32,7 @@ type binding = {
           [Words] / [Checkpoint_words] (certified by the bandwidth pass) *)
   calls : sym list;  (** resolved in-repo references, sorted, deduplicated *)
   externals : string list;
-      (** unresolved qualified references (dotted), plus effectful bare
-          identifiers ([failwith], [print_endline], ...) *)
-  mutates : sym list;  (** resolved references in mutation position *)
-  asserts_false : bool;
+      (** unresolved qualified references (dotted), e.g. ["List.iter"] *)
   expr : Parsetree.expression;
       (** the binding's right-hand side, consumed by the bandwidth pass *)
 }

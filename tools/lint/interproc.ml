@@ -1,5 +1,6 @@
-(* Interprocedural model-compliance rules (stage 3), on top of the
-   symbol/call graph ({!Callgraph}) and effect summaries ({!Effects}).
+(* Interprocedural model-compliance rules (stage 2 of 2), one
+   breadth-first search per callback over the symbol/call graph
+   ({!Callgraph}).
 
    The CONGEST reproduction's round bounds are only meaningful if
    simulated nodes exchange information exclusively through charged

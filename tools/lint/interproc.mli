@@ -1,4 +1,4 @@
-(** Interprocedural model-compliance rules (stage 3), over the
+(** Interprocedural model-compliance rules (stage 2 of 2), over the
     {!Callgraph} symbol graph: [node-locality] (no per-node callback may
     reach module-level mutable state) and [send-discipline] (no per-node
     callback path may charge [Metrics] counters directly). Findings

@@ -1,19 +1,19 @@
 (* CLI driver for the model-compliance lint:
 
      lint [--format text|json] [--baseline FILE] [--only PASS]
-          [--effects-out FILE] [--bandwidth-out FILE] [--bench-out FILE]
-          [--update-baseline] <file-or-dir>...
+          [--bandwidth-out FILE] [--bench-out FILE] [--update-baseline]
+          <file-or-dir>...
 
    Directories are walked recursively for [.ml] files (in sorted order,
    so output and baseline application are stable). Each file is parsed
    once; the single-file rules run per file and the whole file set
-   feeds the interprocedural passes (symbol/call graph -> effect
-   summaries -> node-locality / send-discipline -> bandwidth).
+   feeds the interprocedural passes (symbol/call graph ->
+   node-locality / send-discipline, and bandwidth on the same graph).
    [--only PASS] runs exactly one of rules/interproc/bandwidth (unknown
    pass names are a usage error, exit 2); baseline entries for the
    other passes are set aside rather than reported stale.
-   [--effects-out]/[--bandwidth-out] additionally dump
-   the corresponding JSON reports; [--bench-out] writes
+   [--bandwidth-out] additionally dumps the bandwidth verdict table as
+   JSON; [--bench-out] writes
    BENCH_lint.json timing rows (whole-repo certifier wall-clock,
    plus a per-pass row for the bandwidth certifier) so analysis cost is
    tracked alongside the fault benches. [--update-baseline] rewrites
@@ -25,13 +25,12 @@
 
 module Lint_core = Repro_lint.Lint_core
 module Interproc = Repro_lint.Interproc
-module Effects = Repro_lint.Effects
 module Callgraph = Repro_lint.Callgraph
 module Bandwidth = Repro_lint.Bandwidth
 
 let usage =
-  "lint [--format text|json] [--baseline FILE] [--only PASS] [--effects-out FILE] \
-   [--bandwidth-out FILE] [--bench-out FILE] [--update-baseline] <file-or-dir>..."
+  "lint [--format text|json] [--baseline FILE] [--only PASS] [--bandwidth-out FILE] \
+   [--bench-out FILE] [--update-baseline] <file-or-dir>..."
 
 let passes = [ "rules"; "interproc"; "bandwidth" ]
 
@@ -62,7 +61,6 @@ let read_file path =
 let () =
   let format = ref "text" in
   let baseline_path = ref "" in
-  let effects_out = ref "" in
   let bandwidth_out = ref "" in
   let bench_out = ref "" in
   let only = ref "" in
@@ -74,9 +72,6 @@ let () =
         Arg.Symbol ([ "text"; "json" ], fun s -> format := s),
         " output format (default text)" );
       ("--baseline", Arg.Set_string baseline_path, "FILE suppress baselined findings");
-      ( "--effects-out",
-        Arg.Set_string effects_out,
-        "FILE write the per-binding effect summaries as JSON" );
       ( "--bandwidth-out",
         Arg.Set_string bandwidth_out,
         "FILE write the per-algorithm bandwidth verdict table as JSON" );
@@ -163,8 +158,6 @@ let () =
     if not (List.exists run [ "interproc"; "bandwidth" ]) then findings
     else begin
       let cg = Callgraph.build parsed in
-      if !effects_out <> "" && run "interproc" then
-        write_out !effects_out (Effects.to_json cg (Effects.summarize cg));
       let t0 = Unix.gettimeofday () in
       let bandwidth_report =
         if run "bandwidth" then Some (Bandwidth.analyze cg parsed) else None

@@ -37,8 +37,8 @@ let rules =
       "Hashtbl.iter/fold in lib/congest: iteration order is nondeterministic; sort \
        explicitly before anything order-sensitive (outboxes, metrics)" );
     (* the two interprocedural rules (implemented in Interproc over the
-       Callgraph/Effects stages) are registered here so the baseline
-       parser and --rules listing know them *)
+       Callgraph stage) are registered here so the baseline parser and
+       --rules listing know them *)
     ( "node-locality",
       "interprocedural: a per-node callback (init/step/active/on_restart, or a RECOVERABLE \
        structure handed to a *.Make functor) can reach module-level mutable state — shared \
