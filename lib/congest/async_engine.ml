@@ -7,6 +7,7 @@ module Sink = Repro_obs.Sink
 let forced = ref false
 let deadline = ref 0
 
+(* Consecutive blown deadlines before a neighbor is cut. *)
 let max_strikes = 3
 
 (* Exponential backoff on the pulse deadline is capped so the budget

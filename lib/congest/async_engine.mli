@@ -30,17 +30,11 @@ val forced : bool ref
     waiting for (its own schedule, and the runner-up arrival and SAFE
     terms — a {e relative} criterion, so lag merely inherited from a
     straggler deeper in the graph cancels out instead of cascading
-    cuts ring by ring). After {!max_strikes} consecutive strikes the
-    neighbor is cut: subsequent copies from it are dropped (reason
-    [Straggler]), which starves the heartbeat {!Detector} into
-    suspecting it so [run_certified] can excise it. *)
+    cuts ring by ring; the doubling stops at [2^20]). After 3
+    consecutive strikes the neighbor is cut: subsequent copies from it
+    are dropped (reason [Straggler]), which starves the heartbeat
+    {!Detector} into suspecting it so [run_certified] can excise it. *)
 val deadline : int ref
-
-(** Consecutive blown deadlines before a neighbor is cut: 3. *)
-val max_strikes : int
-
-(** Cap on the exponent of the deadline backoff ([2^shift]). *)
-val max_backoff_shift : int
 
 (** {2 Per-run state}
 

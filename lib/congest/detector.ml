@@ -109,9 +109,8 @@ module Make (M : Engine.MSG) = struct
 
   type 'st result = { states : 'st array; suspects : int list array }
 
-  let run skeleton ~init ~step ~active ?faults ?on_restart ?jitter_seed
-      ?max_retries ?(period = 4) ?timeout ?max_rounds
-      ?(max_words = Engine.default_max_words) ~metrics ~label () =
+  let run skeleton ~init ~step ~active ?faults ?jitter_seed ?max_retries ?(period = 4)
+      ?timeout ~metrics ~label () =
     if period < 2 then invalid_arg "Detector.run: period must be >= 2";
     let timeout = match timeout with Some t -> t | None -> 3 * period in
     if timeout < period + 2 then
@@ -123,8 +122,11 @@ module Make (M : Engine.MSG) = struct
     let watch0 = timeout + (2 * period) in
     let sink = !Engine.trace_sink in
     let tracing = sink.Repro_obs.Sink.enabled in
+    (* one sorted neighbor array per node for the whole run, shared by
+       every boot of that node *)
+    let neighbors = Array.init (Digraph.n skeleton) (Digraph.neighbors skeleton) in
     let fresh_node ~round v booted =
-      let nbrs = Digraph.neighbors skeleton v in
+      let nbrs = neighbors.(v) in
       let deg = Array.length nbrs in
       let suspect = Array.make deg false in
       let suspected u =
@@ -146,12 +148,7 @@ module Make (M : Engine.MSG) = struct
       }
     in
     let wrap_init v = fresh_node ~round:0 v (init v) in
-    let restart_user =
-      match on_restart with Some f -> f | None -> fun ~round:_ ~node -> init node
-    in
-    let wrap_restart ~round ~node =
-      fresh_node ~round node (restart_user ~round ~node)
-    in
+    let wrap_restart ~round ~node = fresh_node ~round node (init node) in
     (* 1. anything that arrives proves the link live: refresh the peer's
        deadline, clear a standing suspicion, stamp a [Beat]; returns the
        user data in inbox order *)
@@ -241,8 +238,8 @@ module Make (M : Engine.MSG) = struct
     let wrap_active st = active st.user || st.watch > 0 in
     let states =
       T.run skeleton ?faults ~init:wrap_init ~step:wrap_step ~active:wrap_active
-        ~on_restart:wrap_restart ?jitter_seed ?max_retries ?max_rounds
-        ~max_words:(max_words + 1) ~metrics ~label ()
+        ~on_restart:wrap_restart ?jitter_seed ?max_retries
+        ~max_words:(Engine.default_max_words + 1) ~metrics ~label ()
     in
     {
       states = Array.map (fun st -> st.user) states;

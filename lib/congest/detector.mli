@@ -48,10 +48,6 @@ type verdict =
       (** [reachable] is the certified component of the root;
           [suspected] lists (suspector, suspect) pairs, sorted. *)
 
-(** [verdict_of_suspects skeleton ~root suspects] derives the verdict
-    from per-node suspect lists (as returned in {!Make.result}). *)
-val verdict_of_suspects : Repro_graph.Digraph.t -> root:int -> int list array -> verdict
-
 (** [oracle ?faults ?async skeleton ~root] is the centralized ground
     truth a [Partial] verdict is validated against: the component of
     [root] after removing permanently severed links ({!Fault.severed})
@@ -77,7 +73,8 @@ module Make (M : Engine.MSG) : sig
   (** Same contract as {!Transport.Make.run} except [step] additionally
       receives [suspected : int -> bool], the node's current local
       suspect list (queries on non-neighbors are a contract violation),
-      plus:
+      an amnesia-restarted node re-runs [init], and user messages are
+      capped at {!Engine.default_max_words}, plus:
 
       - [period] — heartbeat period in rounds (>= 2; default 4);
       - [timeout] — rounds of per-link silence before suspicion
@@ -93,19 +90,17 @@ module Make (M : Engine.MSG) : sig
       (round:int -> node:int -> suspected:(int -> bool) -> 'st -> inbox -> 'st * outbox) ->
     active:('st -> bool) ->
     ?faults:Fault.t ->
-    ?on_restart:(round:int -> node:int -> 'st) ->
     ?jitter_seed:int ->
     ?max_retries:int ->
     ?period:int ->
     ?timeout:int ->
-    ?max_rounds:int ->
-    ?max_words:int ->
     metrics:Metrics.t ->
     label:string ->
     unit ->
     'st result
 
-  (** [verdict result skeleton ~root] = {!verdict_of_suspects} on
-      [result.suspects]. *)
+  (** [verdict result skeleton ~root] derives the verdict from
+      [result.suspects]: [Complete] when every list is empty, otherwise
+      the root's component over links neither endpoint suspects. *)
   val verdict : 'st result -> Repro_graph.Digraph.t -> root:int -> verdict
 end

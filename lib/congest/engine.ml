@@ -61,11 +61,11 @@ module Make (M : MSG) = struct
   type inbox = (int * M.t) list
   type outbox = (int * M.t) list
 
-  let run skeleton ~init ~step ~active ?faults ?on_restart ?corrupt ?audit
+  let run skeleton ~init ~step ~active ?faults ?on_restart ?corrupt
       ?(max_rounds = 10_000_000) ?(max_words = default_max_words) ~metrics ~label () =
     if Digraph.directed skeleton then
       invalid_arg "Engine.run: communication network must be undirected";
-    let audit = match audit with Some b -> b | None -> !audit_enabled in
+    let audit = !audit_enabled in
     let n = Digraph.n skeleton in
     (* sorted, so the receiver check is a binary search *)
     let neighbors = Array.init n (Digraph.neighbors skeleton) in

@@ -38,7 +38,7 @@
       pulse-[p] SAFE. When {!Async_engine.deadline} pacing is on, a
       neighbor whose terms alone hold that gate open past everything
       else [v] is waiting for (by more than the backed-off allowance)
-      is struck, and after [max_strikes] consecutive strikes cut; its
+      is struck, and after 3 consecutive strikes cut; its
       copies then drop with reason [Straggler], starving the heartbeat
       {!Detector} into suspecting it. The criterion is relative, so lag
       inherited from a straggler deeper in the graph cancels out
@@ -81,9 +81,9 @@ exception
       mutated while "in flight" breaks the bandwidth model silently). *)
 exception Audit_violation of { label : string; round : int; detail : string }
 
-(** When true, every [run] without an explicit [?audit] argument audits.
-    The test suites set this so accounting drift fails tests; it defaults
-    to [false] for production runs. *)
+(** When true, every [run] audits. The test suites set this so
+    accounting drift fails tests; it defaults to [false] for production
+    runs. *)
 val audit_enabled : bool ref
 
 (** Process-wide trace sink (DESIGN.md "Observability"). Defaults to
@@ -159,7 +159,7 @@ module Make (M : MSG) : sig
         garbage: it is discarded at delivery time like a frame-level
         CRC failure (a [Drop] with reason [Garbled], charged as
         dropped).
-      - [audit], when true (default: {!audit_enabled}), cross-checks the
+      - While {!audit_enabled} is set, the run cross-checks the
         conservation invariants documented on {!Audit_violation} at the
         end of every round.
       - Rounds consumed are charged to [metrics] under [label]; accepted
@@ -178,7 +178,6 @@ module Make (M : MSG) : sig
     ?faults:Fault.t ->
     ?on_restart:(round:int -> node:int -> 'st) ->
     ?corrupt:(M.t -> M.t) ->
-    ?audit:bool ->
     ?max_rounds:int ->
     ?max_words:int ->
     metrics:Metrics.t ->

@@ -98,7 +98,7 @@ type fate = { extra : int; corrupt : bool }
 
 (* Two ways to decide message fates: the seeded random process, or a
    recorded schedule being replayed (Repro_obs.Replay feeds one in via
-   [scripted]). Scripted deciders need to know which [Engine.run] of
+   [of_replay]). Scripted deciders need to know which [Engine.run] of
    the CLI invocation is consulting them — rounds restart at 0 each
    run — so the engine announces run boundaries with [begin_run]. *)
 type decider =
@@ -112,15 +112,6 @@ let create ?(seed = 0) p =
     p;
     decider = Rng (Random.State.make [| seed lxor 0xfa17; p.max_delay + 1 |]);
     seed;
-    run = -1;
-  }
-
-let scripted ?(crashes = []) ?(partitions = []) ?(stragglers = []) ?(link_latency = 0)
-    ?(skew = 0) ?(timing_seed = 0) plan =
-  {
-    p = profile ~crashes ~partitions ~stragglers ~link_latency ~skew ();
-    decider = Scripted plan;
-    seed = timing_seed;
     run = -1;
   }
 
@@ -153,9 +144,15 @@ let of_replay r =
     | Some { Replay.link_latency; skew; timing_seed } -> (link_latency, skew, timing_seed)
     | None -> (0, 0, 0)
   in
-  scripted ~crashes ~partitions ~stragglers ~link_latency ~skew ~timing_seed
-    (fun ~run ~round ~src ~dst ->
-      List.map (fun (extra, corrupt) -> { extra; corrupt }) (Replay.plan r ~run ~round ~src ~dst))
+  let plan ~run ~round ~src ~dst =
+    List.map (fun (extra, corrupt) -> { extra; corrupt }) (Replay.plan r ~run ~round ~src ~dst)
+  in
+  {
+    p = profile ~crashes ~partitions ~stragglers ~link_latency ~skew ();
+    decider = Scripted plan;
+    seed = timing_seed;
+    run = -1;
+  }
 
 let begin_run t = t.run <- t.run + 1
 let profile_of t = t.p

@@ -85,21 +85,18 @@ val partition : ?heal:int -> from:int -> cut -> partition
     fiat and ignores timing entirely). During the window, node
     [s_node]'s per-pulse computation is stretched by [factor] in
     virtual time. [factor = 0] encodes a stall: bounded stalls are
-    modeled as a {!stall_factor}[x] slowdown, and an unbounded stall
-    ([s_until = None]) stops the node outright — the asynchronous
-    executor treats it like a crash-stop from [s_from] on, and the
-    deadline-paced synchronizer cuts it so the run terminates. *)
+    modeled as a 1000x slowdown (long enough to blow any realistic
+    pulse deadline, still finite so undeadlined runs terminate), and an
+    unbounded stall ([s_until = None]) stops the node outright — the
+    asynchronous executor treats it like a crash-stop from [s_from] on,
+    and the deadline-paced synchronizer cuts it so the run
+    terminates. *)
 type straggle = {
   s_node : int;
   s_from : int;  (** first pulse the window covers. *)
   s_until : int option;  (** [None] = forever; [Some u] = pulses < [u]. *)
   factor : int;  (** 0 = stall; >= 2 = slowdown multiplier. *)
 }
-
-(** Virtual-time slowdown standing in for a bounded stall: long enough
-    to blow any realistic pulse deadline, still finite so undeadlined
-    runs terminate. *)
-val stall_factor : int
 
 (** [straggle ~from ?until ?factor node] builds a straggler window;
     [factor] defaults to [0] (stall). *)
@@ -151,36 +148,23 @@ type t
     same order. *)
 val create : ?seed:int -> profile -> t
 
-(** [scripted ?crashes ?partitions plan] builds an adversary that
-    replays a recorded delivery schedule instead of rolling dice: [plan]
-    is consulted for every send exactly like {!plan} below, additionally
-    keyed by which engine run of the process is asking (see
-    {!begin_run}); [crashes] and [partitions] replay the recorded
-    deterministic windows (the engine re-applies partition drops itself,
-    so [plan] is never consulted about a severed send). Used by
-    [--replay] (the schedule comes from [Repro_obs.Replay]); the random
-    dimensions of the profile are all zero.
+(** [of_replay r] is an adversary that replays the recorded trace [r]
+    instead of rolling dice: its crash, partition and straggler windows,
+    its timing statics and seed, and its per-copy delivery schedule.
+    The schedule is consulted for every send exactly like {!plan}
+    below, additionally keyed by which engine run of the process is
+    asking (see {!begin_run}); the engine re-applies partition drops
+    itself, so the schedule is never consulted about a severed send.
+    Used by [--replay]; the random dimensions of the profile are all
+    zero.
 
-    The timing dimensions replay through [stragglers]/[link_latency]/
-    [skew]/[timing_seed]: timing draws are pure hashes of the seed (see
-    {!latency}), so restoring the recorded seed reproduces the exact
-    virtual-time schedule without any recorded per-copy data.
+    The timing dimensions replay from the recorded seed alone: timing
+    draws are pure hashes of the seed (see {!latency}), so restoring it
+    reproduces the exact virtual-time schedule without any recorded
+    per-copy data.
 
-    @raise Invalid_argument if [crashes] or [partitions] is invalid (as
-    {!profile}). *)
-val scripted :
-  ?crashes:crash list ->
-  ?partitions:partition list ->
-  ?stragglers:straggle list ->
-  ?link_latency:int ->
-  ?skew:int ->
-  ?timing_seed:int ->
-  (run:int -> round:int -> src:int -> dst:int -> fate list) ->
-  t
-
-(** [of_replay r] is the {!scripted} adversary that replays the recorded
-    trace [r]: its crash, partition and straggler windows, its timing
-    statics and seed, and its per-copy delivery schedule. *)
+    @raise Invalid_argument if a recorded crash or partition window is
+    invalid (as {!profile}). *)
 val of_replay : Repro_obs.Replay.t -> t
 
 (** [begin_run t] announces that a new [Engine.run] is starting; the
@@ -191,9 +175,9 @@ val begin_run : t -> unit
 
 val profile_of : t -> profile
 
-(** [seed_of t] — the seed the timing hashes draw from ([timing_seed]
-    for scripted adversaries); recorded in the [Timing] trace event so
-    replay reconstructs the virtual-time schedule. *)
+(** [seed_of t] — the seed the timing hashes draw from (the recorded
+    seed for {!of_replay} adversaries); recorded in the [Timing] trace
+    event so replay reconstructs the virtual-time schedule. *)
 val seed_of : t -> int
 
 (** [plan t ~round ~src ~dst] decides the fate of one message sent on link
@@ -262,7 +246,7 @@ val timing_active : t -> bool
 
 (** [straggle_factor t ~round v] — the virtual-time stretch of node
     [v]'s computation at pulse [round]: 1 = nominal, [>= 2] = slowdown
-    ({!stall_factor} for a bounded stall), 0 = stalled forever. *)
+    (1000 for a bounded stall), 0 = stalled forever. *)
 val straggle_factor : t -> round:int -> int -> int
 
 (** [stalled_forever t ~round v] — is [v] inside an unbounded stall

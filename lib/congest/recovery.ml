@@ -51,8 +51,7 @@ module Make (P : RECOVERABLE) = struct
     i < Array.length st.nbrs
     && (st.resync_owed.(i) || Option.is_some st.data.(i) || pending st (i + 1))
 
-  let run skeleton ?faults ?(checkpoint_every = 0) ?max_rounds ?max_words ~metrics
-      ~label () =
+  let run skeleton ?faults ?(checkpoint_every = 0) ~metrics ~label () =
     if checkpoint_every < 0 then invalid_arg "Recovery.run: negative checkpoint interval";
     let sink = !Engine.trace_sink in
     let tracing = sink.Repro_obs.Sink.enabled in
@@ -60,8 +59,11 @@ module Make (P : RECOVERABLE) = struct
     (* simulated per-node stable storage: survives amnesia restarts
        because it lives outside the engine's (volatile) node states *)
     let stable = Array.make n None in
+    (* one sorted neighbor array per node for the whole run, shared by
+       every boot of that node *)
+    let neighbors = Array.init n (Digraph.neighbors skeleton) in
     let fresh_rst ~hello v booted =
-      let nbrs = Digraph.neighbors skeleton v in
+      let nbrs = neighbors.(v) in
       let deg = Array.length nbrs in
       {
         user = booted;
@@ -169,7 +171,7 @@ module Make (P : RECOVERABLE) = struct
     let wrap_active st = P.active st.user || st.hello || pending st 0 in
     let states =
       T.run skeleton ?faults ~init:wrap_init ~step:wrap_step ~active:wrap_active
-        ~on_restart:wrap_restart ?max_rounds ?max_words ~metrics ~label ()
+        ~on_restart:wrap_restart ~metrics ~label ()
     in
     Array.map (fun st -> st.user) states
   [@@charge_site]

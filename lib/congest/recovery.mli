@@ -72,14 +72,12 @@ module Make (P : RECOVERABLE) : sig
       (default [0] = disabled) and full crash-amnesia recovery. Control
       messages (Hello, Resync) are multiplexed with user data on the same
       links, at most one message per neighbor per round, so the engine's
-      bandwidth contract is preserved ([max_words] applies to the user
-      payloads). *)
+      bandwidth contract is preserved (user payloads are capped at
+      {!Engine.default_max_words}). *)
   val run :
     Repro_graph.Digraph.t ->
     ?faults:Fault.t ->
     ?checkpoint_every:int ->
-    ?max_rounds:int ->
-    ?max_words:int ->
     metrics:Metrics.t ->
     label:string ->
     unit ->

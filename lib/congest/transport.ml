@@ -99,8 +99,7 @@ module Make (M : Engine.MSG) = struct
     }
 
   let run skeleton ~init ~step ~active ?faults ?on_restart ?(jitter_seed = 0)
-      ?(max_retries = 25) ?max_rounds ?(max_words = Engine.default_max_words) ~metrics ~label
-      () =
+      ?(max_retries = 25) ?(max_words = Engine.default_max_words) ~metrics ~label () =
     if max_retries < 0 then invalid_arg "Transport.run: negative max_retries";
     (* deterministic desynchronization of retransmission timers: a pure
        hash of (seed, link, seq, attempt), so replaying the same run
@@ -307,7 +306,7 @@ module Make (M : Engine.MSG) = struct
     in
     let states =
       E.run skeleton ?faults ~init:wrap_init ~step:wrap_step ~active:wrap_active
-        ~on_restart:wrap_restart ?max_rounds
+        ~on_restart:wrap_restart
         ~corrupt:(fun p -> { p with Packet.crc = p.Packet.crc lxor 0x2a })
         ~max_words:(max_words + 5) ~metrics ~label ()
     in

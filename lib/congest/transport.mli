@@ -69,7 +69,7 @@ module Make (M : Engine.MSG) : sig
   (** [run skeleton ~init ~step ~active ~metrics ~label ()] — same
       contract as {!Engine.Make.run} (inboxes sorted by sender id,
       bandwidth checks on user messages, liveness via [active] once all
-      transport queues drain), plus:
+      transport queues drain, the engine's default round budget), plus:
 
       - [faults] — adversary applied to the underlying links;
       - [on_restart ~round ~node] — rebuilds the {e user} state of an
@@ -97,7 +97,6 @@ module Make (M : Engine.MSG) : sig
     ?on_restart:(round:int -> node:int -> 'st) ->
     ?jitter_seed:int ->
     ?max_retries:int ->
-    ?max_rounds:int ->
     ?max_words:int ->
     metrics:Metrics.t ->
     label:string ->

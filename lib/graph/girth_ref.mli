@@ -7,6 +7,3 @@
 
 (** [girth g] dispatches on [Digraph.directed g]. *)
 val girth : Digraph.t -> int
-
-val girth_directed : Digraph.t -> int
-val girth_undirected : Digraph.t -> int

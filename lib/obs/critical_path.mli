@@ -44,10 +44,8 @@ type report = {
 
 val chain_length : report -> int
 
-val analyze : ?top:int -> Trace_io.run -> report
-(** [top] bounds the slack/idle/congested/straggler lists (default 5). *)
-
 val analyze_all : ?top:int -> Event.t list -> report list
-(** One report per [Run_start] section of the trace. *)
+(** One report per [Run_start] section of the trace. [top] bounds the
+    slack/idle/congested/straggler lists (default 5). *)
 
 val pp_report : Format.formatter -> report -> unit

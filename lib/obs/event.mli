@@ -99,8 +99,8 @@ type t =
           clock skew), emitted once per run *)
   | Straggler_cut of { round : int; node : int; peer : int; vt : int }
       (** deadline pacing: [node] stopped waiting for [peer]'s SAFE
-          after [peer] blew the pulse deadline [max_strikes] times in a
-          row; [peer]'s copies to [node] are dropped from here on *)
+          after [peer] blew the pulse deadline 3 times in a row;
+          [peer]'s copies to [node] are dropped from here on *)
   | Straggle_window of {
       node : int;
       from_round : int;

@@ -12,7 +12,8 @@
     sends have no recorded fate — {!partitions} reconstructs the
     windows from the static [Partition_window] events instead.
     Feeding {!plan} (plus {!crashes} and {!partitions}) to a scripted
-    [Fault] adversary reproduces the recorded run exactly. *)
+    [Fault] adversary ([Fault.of_replay]) reproduces the recorded run
+    exactly. *)
 
 exception Divergence of string
 (** Raised when the replayed execution consults the adversary about a

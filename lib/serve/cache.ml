@@ -6,7 +6,10 @@ type t = {
   values : int array;
   prev : int array;
   next : int array;
-  slot_of : (int, int) Hashtbl.t;
+  (* open-addressing index from key to slot, linear probing, sized at
+     [create] to at least twice the slots: [-1] marks an empty bucket *)
+  table : int array;
+  mask : int;
   mutable head : int;
   mutable tail : int;
   mutable len : int;
@@ -20,13 +23,16 @@ let absent = min_int
 let create capacity =
   if capacity < 0 then invalid_arg "Cache.create: negative capacity";
   let n = max capacity 1 in
+  let rec fit size = if size >= 2 * n then size else fit (2 * size) in
+  let size = fit 2 in
   {
     capacity;
     keys = Array.make n 0;
     values = Array.make n 0;
     prev = Array.make n (-1);
     next = Array.make n (-1);
-    slot_of = Hashtbl.create (2 * n);
+    table = Array.make size (-1);
+    mask = size - 1;
     head = -1;
     tail = -1;
     len = 0;
@@ -47,48 +53,78 @@ let push_front t i =
   t.head <- i;
   if t.tail < 0 then t.tail <- i
 
-(* Hashtbl.find (not find_opt): no [Some] box on the per-query path. *)
+let promote t i =
+  if t.head <> i then begin
+    unlink t i;
+    push_front t i
+  end
+
+(* a key's home bucket: multiplicative hashing keeps the high bits of
+   the product, so consecutive keys spread over the table *)
+let home t key = ((key * 0x1e3779b97f4a7c15) lsr 32) land t.mask
+
+(* the bucket holding [key], or the empty bucket that ends its probe *)
+let rec probe t key b =
+  let i = t.table.(b) in
+  if i < 0 || t.keys.(i) = key then b else probe t key ((b + 1) land t.mask)
+
+let bucket t key = probe t key (home t key)
+
+(* Backward-shift deletion: empty [hole], then walk the rest of its run
+   and move into the hole each entry whose home is not cyclically in
+   (hole, b], so no probe ever stops short of its key. *)
+let rec close t hole b =
+  let b = (b + 1) land t.mask in
+  let i = t.table.(b) in
+  if i < 0 then t.table.(hole) <- -1
+  else if (b - home t t.keys.(i)) land t.mask >= (b - hole) land t.mask then begin
+    t.table.(hole) <- i;
+    close t b b
+  end
+  else close t hole b
+
 let find t key =
-  match Hashtbl.find t.slot_of key with
-  | i ->
-      t.hits <- t.hits + 1;
-      if t.head <> i then begin
-        unlink t i;
-        push_front t i
-      end;
-      t.values.(i)
-  | exception Not_found ->
-      t.misses <- t.misses + 1;
-      absent
+  let i = t.table.(bucket t key) in
+  if i >= 0 then begin
+    t.hits <- t.hits + 1;
+    promote t i;
+    t.values.(i)
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    absent
+  end
 
 let add t key value =
-  if t.capacity > 0 then
-    match Hashtbl.find_opt t.slot_of key with
-    | Some i ->
-        t.values.(i) <- value;
-        if t.head <> i then begin
-          unlink t i;
-          push_front t i
+  if t.capacity > 0 then begin
+    let i = t.table.(bucket t key) in
+    if i >= 0 then begin
+      t.values.(i) <- value;
+      promote t i
+    end
+    else begin
+      let i =
+        if t.len < t.capacity then begin
+          let i = t.len in
+          t.len <- t.len + 1;
+          i
         end
-    | None ->
-        let i =
-          if t.len < t.capacity then begin
-            let i = t.len in
-            t.len <- t.len + 1;
-            i
-          end
-          else begin
-            let i = t.tail in
-            Hashtbl.remove t.slot_of t.keys.(i);
-            t.evictions <- t.evictions + 1;
-            unlink t i;
-            i
-          end
-        in
-        t.keys.(i) <- key;
-        t.values.(i) <- value;
-        Hashtbl.replace t.slot_of key i;
-        push_front t i
+        else begin
+          let i = t.tail in
+          let b = bucket t t.keys.(i) in
+          close t b b;
+          t.evictions <- t.evictions + 1;
+          unlink t i;
+          i
+        end
+      in
+      t.keys.(i) <- key;
+      t.values.(i) <- value;
+      (* probe again: the eviction may have shifted [key]'s empty bucket *)
+      t.table.(bucket t key) <- i;
+      push_front t i
+    end
+  end
 
 let hits t = t.hits
 let misses t = t.misses

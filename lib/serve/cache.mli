@@ -1,9 +1,10 @@
 (** Bounded hot-pair LRU cache for the query engine (DESIGN §3h).
 
     Int keys, int values, fixed capacity, intrusive doubly-linked list
-    over preallocated arrays — the serve hot loop does one {!find} per
-    query and must not allocate. Counters accumulate locally and are
-    pushed to {!Repro_congest.Metrics} by {!flush}. *)
+    over preallocated arrays, indexed by an open-addressing int table
+    sized at {!create} — the serve hot loop does one {!find} per query,
+    and one {!add} per miss, and neither allocates. Counters accumulate
+    locally and are pushed to {!Repro_congest.Metrics} by {!flush}. *)
 
 type t
 

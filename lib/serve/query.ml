@@ -56,6 +56,7 @@ let parse src line =
   | op :: _ -> Error (Printf.sprintf "unknown op %S: expected DIST or CDL" op)
   | [] -> Error "empty query"
 
+(* the query's injective int encoding, the cache key *)
 let key src q =
   match q with
   | Dist { u; v } -> (u * src.n) + v

@@ -34,11 +34,6 @@ type t =
     [DIST: v: expected an int, got "x"]. *)
 val parse : source -> string -> (t, string) result
 
-(** [key source q] is the query's injective int encoding — the cache
-    key: [u * n + v] for DIST, [n^2 + (u * n + v) * q_size + q] for
-    CDL. *)
-val key : source -> t -> int
-
 (** [answer ?cache source q] decodes the exact distance
     ([Digraph.inf] when unreachable), consulting and filling the
     hot-pair cache when given.

@@ -21,6 +21,7 @@ let basis ?tree (parts : Part.t) ~metrics =
   let stats = Pa.loads tree parts in
   { depth = stats.Pa.depth; max_load = stats.Pa.max_load; n = Digraph.n g }
 
+(* one PA invocation: an up and a down phase *)
 let pa_rounds b = 2 * (b.depth + b.max_load)
 let lemma8_rounds b = ceil_log2 b.n * pa_rounds b
 let bct_rounds b ~h = (2 * b.depth) + (h * b.max_load)

@@ -29,11 +29,9 @@ val charge_tree : Repro_graph.Digraph.t -> Repro_congest.Bfs_tree.tree
 
 val ceil_log2 : int -> int
 
-(** One PA invocation: 2 (depth + congestion) rounds (up + down phase). *)
-val pa_rounds : basis -> int
-
 (** Lemma 8 operation (RST / STA / SLE / CCD / single-message BCT):
-    Õ(1) invocations of PA and SNC; charged [ceil_log2 n] PA rounds. *)
+    Õ(1) invocations of PA and SNC; charged [ceil_log2 n] PA rounds,
+    each 2 (depth + congestion) rounds (up + down phase). *)
 val lemma8_rounds : basis -> int
 
 (** Corollary 3, BCT(h): h-message broadcast per part; pipelined charge

@@ -44,9 +44,7 @@ let create g assoc =
     child_count;
   { graph = g; bags; child_count }
 
-let graph t = t.graph
 let bag t k = Hashtbl.find t.bags k
-let mem t k = Hashtbl.mem t.bags k
 let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.bags []
 
 let children t k =

@@ -16,18 +16,12 @@ type t
     {!validate}. *)
 val create : Repro_graph.Digraph.t -> (key * int array) list -> t
 
-val graph : t -> Repro_graph.Digraph.t
 val bag : t -> key -> int array
-val mem : t -> key -> bool
 val keys : t -> key list
 
 (** [children t x] are the child indices [i] with [x . i] present
     ([cht] in the paper). *)
 val children : t -> key -> int list
-
-(** [parent x] chops the last character; @raise Invalid_argument on the
-    root. *)
-val parent : key -> key
 
 (** [width t] is [max bag size - 1]. *)
 val width : t -> int

@@ -65,6 +65,7 @@ let order_by g score =
   done;
   order
 
+(* smallest fill-in first, ties by degree *)
 let min_fill_order g =
   order_by g (fun adj v -> (fill_in adj v, Hashtbl.length adj.(v)))
 

@@ -6,10 +6,6 @@
     gives a treewidth lower bound, so experiments can bracket the true
     treewidth of generated instances. *)
 
-(** [min_fill_order g] is an elimination order chosen by smallest
-    fill-in (ties by degree). *)
-val min_fill_order : Repro_graph.Digraph.t -> int array
-
 (** [min_degree_order g] is an elimination order by smallest degree. *)
 val min_degree_order : Repro_graph.Digraph.t -> int array
 
@@ -18,7 +14,8 @@ val min_degree_order : Repro_graph.Digraph.t -> int array
     width depends on the order quality. *)
 val of_order : Repro_graph.Digraph.t -> int array -> Decomposition.t
 
-(** [min_fill g] is [of_order g (min_fill_order g)]. *)
+(** [min_fill g] is [of_order g] of the elimination order chosen by
+    smallest fill-in (ties by degree). *)
 val min_fill : Repro_graph.Digraph.t -> Decomposition.t
 
 (** [degeneracy g] is the graph degeneracy — a lower bound on treewidth. *)

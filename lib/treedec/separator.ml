@@ -157,8 +157,8 @@ let centralized_base_separator g ~mask ~x_mask ~profile =
           List.map (fun v -> old_of_new.(v)) (Array.to_list bag)
       | _ -> List.filter (fun v -> x_mask.(v)) vs)
 
-let sep ?(profile = practical_profile) ?tree ~rng g ~mask ~x_mask ~t ~cost =
-  let tree = match tree with Some tr -> tr | None -> Primitives.charge_tree g in
+(* One SEP attempt with parameter [t]; [None] concludes tau + 1 > t. *)
+let sep ~profile ~tree ~rng g ~mask ~x_mask ~t ~cost =
   let dummy_metrics = Metrics.create () in
   let basis_of parts = Primitives.basis ~tree parts ~metrics:dummy_metrics in
   let mu_total = weight_of_mask g ~mask ~x_mask in

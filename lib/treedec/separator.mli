@@ -46,31 +46,17 @@ val is_balanced :
   int list ->
   bool
 
-(** [sep ?profile ?tree ~rng g ~mask ~x_mask ~t ~cost] runs one SEP
-    attempt with parameter [t]; [None] means "conclude tau + 1 > t". The
-    masked subgraph must be connected and nonempty.
+(** [find_separator ?profile ?seed ?tree g ~mask ~x_mask ~cost] runs
+    SEP attempts, [profile.trials] per value of [t], doubling [t]
+    starting from 2 until one succeeds (a failed attempt concludes
+    tau + 1 > t; the loop always terminates: step 1 fires once [t^2]
+    exceeds the subgraph weight). Returns the separator and the final
+    [t]. The masked subgraph must be connected and nonempty.
 
     Every primitive's charge basis is measured on [tree], the root-0 BFS
-    tree of [g]'s skeleton ({!Repro_shortcut.Primitives.charge_tree}).
-    Without it, one is flooded at entry; callers inside loops must build
-    it once and pass it. *)
-val sep :
-  ?profile:profile ->
-  ?tree:Repro_congest.Bfs_tree.tree ->
-  rng:Random.State.t ->
-  Repro_graph.Digraph.t ->
-  mask:bool array ->
-  x_mask:bool array ->
-  t:int ->
-  cost:Repro_shortcut.Primitives.cost ->
-  int list option
-
-(** [find_separator ?profile ?seed ?tree g ~mask ~x_mask ~cost] doubles
-    [t] starting from 2 until SEP succeeds (always terminates: step 1
-    fires once [t^2] exceeds the subgraph weight). Returns the separator
-    and the final [t]. [tree] is as for {!sep} and shared by every
-    attempt; without it one is flooded at entry, so callers inside loops
-    must pass it. *)
+    tree of [g]'s skeleton ({!Repro_shortcut.Primitives.charge_tree}),
+    shared by every attempt. Without it, one is flooded at entry;
+    callers inside loops must build it once and pass it. *)
 val find_separator :
   ?profile:profile ->
   ?seed:int ->

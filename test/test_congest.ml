@@ -315,7 +315,7 @@ let test_audit_catches_unstable_words () =
             ~init:(fun v -> v = 0)
             ~step:(fun ~round:_ ~node st _ ->
               if node = 0 && st then (false, [ (1, ()) ]) else (false, []))
-            ~active:Fun.id ~audit:true ~metrics:m ~label:"t" ());
+            ~active:Fun.id ~metrics:m ~label:"t" ());
        false
      with Engine.Audit_violation { round = 0; _ } -> true)
 
@@ -342,7 +342,7 @@ let test_audit_catches_inflight_mutation () =
             ~step:(fun ~round ~node st _ ->
               if node = 0 && round > 0 then cell := 3;
               if node = 0 && st then (false, [ (1, cell) ]) else (false, []))
-            ~active:Fun.id ~faults ~audit:true ~max_rounds:50 ~metrics:m ~label:"t" ());
+            ~active:Fun.id ~faults ~max_rounds:50 ~metrics:m ~label:"t" ());
        false
      with Engine.Audit_violation _ -> true)
 
@@ -359,22 +359,24 @@ let test_audit_catches_metrics_drift () =
             ~step:(fun ~round:_ ~node st _ ->
               if node = 0 && st then Metrics.add_count m Messages 5;
               if node = 0 && st then (false, [ (1, 1) ]) else (false, []))
-            ~active:Fun.id ~audit:true ~metrics:m ~label:"t" ());
+            ~active:Fun.id ~metrics:m ~label:"t" ());
        false
      with Engine.Audit_violation { round = 0; _ } -> true)
 
 let test_audit_off_permits_drift () =
-  (* the same drift with ~audit:false (overriding the suite-wide default)
-     must pass: auditing is opt-out-able for production runs *)
+  (* the same drift with Engine.audit_enabled cleared (overriding the
+     suite-wide setting) must pass: auditing is off for production runs *)
   let sk = Generators.path 2 in
   let m = Metrics.create () in
-  ignore
-    (E.run sk
-       ~init:(fun v -> v = 0)
-       ~step:(fun ~round:_ ~node st _ ->
-         if node = 0 && st then Metrics.add_count m Messages 5;
-         if node = 0 && st then (false, [ (1, 1) ]) else (false, []))
-       ~active:Fun.id ~audit:false ~metrics:m ~label:"t" ());
+  Engine.audit_enabled := false;
+  Fun.protect ~finally:(fun () -> Engine.audit_enabled := true) (fun () ->
+      ignore
+        (E.run sk
+           ~init:(fun v -> v = 0)
+           ~step:(fun ~round:_ ~node st _ ->
+             if node = 0 && st then Metrics.add_count m Messages 5;
+             if node = 0 && st then (false, [ (1, 1) ]) else (false, []))
+           ~active:Fun.id ~metrics:m ~label:"t" ()));
   check_int "extra charge kept" 6 (Metrics.get m Messages)
 
 let test_audit_clean_under_faults () =

@@ -659,6 +659,14 @@ let test_zero_alloc_paths () =
       done);
   check_int "hits" 2000 (Cache.hits c);
   check_int "misses" 1000 (Cache.misses c);
+  (* at capacity, every add of a new key evicts; re-adds refresh *)
+  check_zero_alloc "Cache.add evicting and refreshing" (fun () ->
+      for k = 1 to 1000 do
+        Cache.add c (k * 7) k;
+        Cache.add c (k * 7) (k + 1)
+      done);
+  check_int "evictions" 998 (Cache.evictions c);
+  check_int "latest kept" 1001 (Cache.find c 7000);
   let w = Bitio.writer () in
   for i = 0 to 999 do
     Bitio.put w ~bits:7 (i land 127);

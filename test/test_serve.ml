@@ -826,6 +826,78 @@ let test_cached_answers_match_uncached () =
   done;
   check_bool "second pass hits" true (Cache.hits cache > 0)
 
+type cache_op = Find of int | Add of int * int
+
+(* The reference LRU: (key, value) pairs, most recent first. *)
+let model_find model k =
+  match List.assoc_opt k !model with
+  | Some v ->
+      model := (k, v) :: List.remove_assoc k !model;
+      Some v
+  | None -> None
+
+(* the number of entries evicted: 0 or 1 *)
+let model_add ~capacity model k v =
+  if capacity = 0 then 0
+  else if List.mem_assoc k !model then begin
+    model := (k, v) :: List.remove_assoc k !model;
+    0
+  end
+  else begin
+    let full = List.length !model = capacity in
+    model := (k, v) :: List.filteri (fun i _ -> (not full) || i < capacity - 1) !model;
+    if full then 1 else 0
+  end
+
+(* Keys from a small range plus a few far-apart ones, so small tables
+   collide and probe runs wrap around the end of the table. *)
+let arbitrary_cache_ops =
+  let open QCheck in
+  let key = Gen.(frequency [ (4, int_range 0 11); (1, map (fun k -> k lsl 20) (int_range 1 4)) ]) in
+  let op =
+    Gen.(
+      frequency
+        [ (1, map (fun k -> Find k) key); (1, map2 (fun k v -> Add (k, v)) key (int_range 0 99)) ])
+  in
+  let print = function
+    | Find k -> Printf.sprintf "find %d" k
+    | Add (k, v) -> Printf.sprintf "add %d %d" k v
+  in
+  make ~print:(Print.list print) Gen.(list_size (int_range 0 60) op)
+
+let prop_cache_model =
+  QCheck.Test.make ~name:"cache = list LRU model" ~count:500 ~long_factor:20
+    arbitrary_cache_ops (fun ops ->
+      List.for_all
+        (fun capacity ->
+          let c = Cache.create capacity and model = ref [] in
+          let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+          let same =
+            List.for_all
+              (function
+                | Find k ->
+                    let expected =
+                      match model_find model k with
+                      | Some v ->
+                          incr hits;
+                          v
+                      | None ->
+                          incr misses;
+                          Cache.absent
+                    in
+                    Cache.find c k = expected
+                | Add (k, v) ->
+                    Cache.add c k v;
+                    evictions := !evictions + model_add ~capacity model k v;
+                    true)
+              ops
+          in
+          same
+          && Cache.hits c = !hits
+          && Cache.misses c = !misses
+          && Cache.evictions c = !evictions)
+        [ 0; 1; 2; 7 ])
+
 (* ------------------------------------------------------------------ *)
 (* Query parsing *)
 
@@ -952,7 +1024,13 @@ let test_server_large_stream () =
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_bitio_roundtrip; prop_codec_roundtrip; prop_store_fuzz; prop_labeling_model ]
+      [
+        prop_bitio_roundtrip;
+        prop_codec_roundtrip;
+        prop_store_fuzz;
+        prop_labeling_model;
+        prop_cache_model;
+      ]
   in
   Alcotest.run "repro_serve"
     [

@@ -584,7 +584,6 @@ let analyze (cg : Cg.t) (parsed : (string * P.structure) list) : report =
   }
 
 let findings_of_report r = r.b_findings
-let findings cg parsed = findings_of_report (analyze cg parsed)
 
 let to_json (r : report) =
   let esc = Lint_core.json_escape in

@@ -40,7 +40,6 @@ type report = {
     charging-site certification from the call graph's bindings. *)
 val analyze : Callgraph.t -> (string * Parsetree.structure) list -> report
 
-val findings : Callgraph.t -> (string * Parsetree.structure) list -> Lint_core.finding list
 val findings_of_report : report -> Lint_core.finding list
 
 (** The machine-readable verdict table

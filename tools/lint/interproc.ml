@@ -24,11 +24,6 @@
 
 module Cg = Callgraph
 
-(* rule ids and descriptions live in {!Lint_core.rules}, the single
-   registry the baseline parser and [--rules] listing read *)
-let rule_ids = Lint_core.interproc_rule_ids
-let rules = List.filter (fun (id, _) -> List.mem id rule_ids) Lint_core.rules
-
 (* does a resolved symbol denote a Metrics charging function? *)
 let is_metrics_charge (s : Cg.sym) =
   Filename.basename s.Cg.s_file = "metrics.ml"

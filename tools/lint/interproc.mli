@@ -5,11 +5,6 @@
     carry the full reachability chain and anchor at the callback site,
     so the baseline groups them per (rule, file). *)
 
-(** [(id, description)] for the interprocedural rules. *)
-val rules : (string * string) list
-
-val rule_ids : string list
-
 (** All interprocedural findings over a built call graph, in stable
     (file, position, rule, message) order. Rule scoping goes through
     {!Lint_core.applies}. *)

@@ -4,8 +4,9 @@
           [--bandwidth-out FILE] [--bench-out FILE] [--update-baseline]
           <file-or-dir>...
 
-   Directories are walked recursively for [.ml] files (in sorted order,
-   so output and baseline application are stable). Each file is parsed
+   Directories are walked recursively for [.ml] files, skipping hidden
+   directories (in sorted order, so output and baseline application are
+   stable). Each file is parsed
    once; the single-file rules run per file and the whole file set
    feeds the interprocedural passes (symbol/call graph ->
    node-locality / send-discipline, and bandwidth on the same graph).
@@ -48,9 +49,21 @@ let rec collect path acc =
   if Sys.is_directory path then
     Array.to_list (Sys.readdir path)
     |> List.sort String.compare
-    |> List.fold_left (fun acc entry -> collect (Filename.concat path entry) acc) acc
+    |> List.fold_left (fun acc entry -> collect_entry (Filename.concat path entry) acc) acc
   else if Filename.check_suffix path ".ml" then path :: acc
   else acc
+
+(* Under _build the compiler writes and deletes files beside the copied
+   sources while the lint walks them, so an entry that vanishes between
+   [readdir] and [is_directory] is skipped, and hidden directories (the
+   [.objs] of every library) are never entered. *)
+and collect_entry path acc =
+  if Filename.check_suffix path ".ml" then path :: acc
+  else if String.starts_with ~prefix:"." (Filename.basename path) then acc
+  else
+    match Sys.is_directory path with
+    | true -> collect path acc
+    | false | (exception Sys_error _) -> acc
 
 let read_file path =
   let ic = open_in_bin path in

@@ -180,15 +180,6 @@ let parse_source ~file source =
 let lint_source ~file source =
   Result.map (lint_structure ~file) (parse_source ~file source)
 
-let lint_file file =
-  let ic = open_in_bin file in
-  let source =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  lint_source ~file source
-
 (* ------------------------------------------------------------------ *)
 (* Baseline *)
 

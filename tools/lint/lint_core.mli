@@ -38,9 +38,6 @@ val lint_structure : file:string -> Parsetree.structure -> finding list
     source order, or a parse-error message. *)
 val lint_source : file:string -> string -> (finding list, string) result
 
-(** [lint_file path] reads and lints one file. *)
-val lint_file : string -> (finding list, string) result
-
 type baseline_entry = {
   b_rule : string;
   b_file : string;
