@@ -99,7 +99,34 @@ let convergecast ?faults ?(reliable = false) tree ~op ~values ~metrics =
   in
   states.(tree.Bfs_tree.root).acc
 
-type stream_state = { queue : int list; got : int list }
+(* A stream node's buffer is both its received log and its forwarding
+   queue: [got.(0 .. len - 1)] is what arrived since the node's last
+   boot, in arrival order, and [got.(next .. len - 1)] is what it has
+   yet to forward. Each step updates the record in place. *)
+type stream_state = { mutable got : int array; mutable len : int; mutable next : int }
+
+(* a duplicated copy overflows the |items| slots: double the buffer,
+   copying element-wise (Labeling's [copy_prefix] says why not blit) *)
+let push st v =
+  if st.len = Array.length st.got then begin
+    let bigger = Array.make (max 1 (2 * st.len)) 0 in
+    for i = 0 to st.len - 1 do
+      bigger.(i) <- st.got.(i)
+    done;
+    st.got <- bigger
+  end;
+  st.got.(st.len) <- v;
+  st.len <- st.len + 1
+
+let rec absorb st = function
+  | [] -> ()
+  | (_, v) :: rest ->
+      push st v;
+      absorb st rest
+
+(* [(c, v)] for every child [c], in [children] order: the outbox order
+   fixes the order of the adversary's fate draws *)
+let rec fan_out v = function [] -> [] | c :: rest -> (c, v) :: fan_out v rest
 
 let stream_down ?faults ?(reliable = false) tree ~items ~metrics =
   let n = Array.length tree.Bfs_tree.parent in
@@ -113,28 +140,24 @@ let stream_down ?faults ?(reliable = false) tree ~items ~metrics =
     tree.Bfs_tree.parent;
   let tree_graph = Digraph.create ~directed:false n !tree_edges in
   let step ~round:_ ~node st inbox =
-    match (st.queue, inbox) with
-    | [], [ (_, v) ] ->
-        (* nothing queued: forward the arriving item at once *)
-        ({ queue = []; got = v :: st.got }, List.map (fun c -> (c, v)) children.(node))
-    | _ -> (
-        let st =
-          List.fold_left
-            (fun st (_, v) -> { queue = st.queue @ [ v ]; got = v :: st.got })
-            st inbox
-        in
-        match st.queue with
-        | [] -> (st, [])
-        | item :: rest ->
-            ({ st with queue = rest }, List.map (fun c -> (c, item)) children.(node)))
+    absorb st inbox;
+    if st.next < st.len then begin
+      let v = st.got.(st.next) in
+      st.next <- st.next + 1;
+      (st, fan_out v children.(node))
+    end
+    else (st, [])
   in
+  let k = Array.length items in
   let states =
     run_via ~reliable ?faults tree_graph
       ~init:(fun v ->
-        if v = tree.Bfs_tree.root then { queue = items; got = List.rev items }
-        else { queue = []; got = [] })
+        if v = tree.Bfs_tree.root then { got = Array.copy items; len = k; next = 0 }
+        else { got = Array.make k 0; len = 0; next = 0 })
       ~step
-      ~active:(fun st -> st.queue <> [])
+      ~active:(fun st -> st.next < st.len)
       ~metrics ~label:"stream"
   in
-  Array.map (fun st -> List.rev st.got) states
+  Array.map
+    (fun st -> if st.len = Array.length st.got then st.got else Array.sub st.got 0 st.len)
+    states

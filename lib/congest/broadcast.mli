@@ -33,14 +33,23 @@ val convergecast :
   metrics:Metrics.t ->
   int
 
-(** [stream_down tree ~items ~metrics] pipelines a list of one-word items
-    from the root to every node (depth + |items| rounds, label
-    ["stream"]); returns the items received per node (all equal). Per-link
-    FIFO of {!Transport} preserves item order under faults. *)
+(** [stream_down tree ~items ~metrics] pipelines one-word [items] from
+    the root to every node (depth + |items| rounds, label ["stream"]);
+    returns, per node, the items it received since its last boot, in
+    arrival order. The root's entry is [items], and a fault-free run
+    gives every node [items]. Per-link FIFO of {!Transport} preserves
+    item order under faults.
+
+    A node's state is one [int] buffer that is both its received log
+    and its forwarding queue. It is sized to |items|, doubles when
+    duplicated copies overflow it, and is built by [init] at every
+    boot: a node restarted with amnesia starts from an empty buffer
+    (the root from a fresh copy of [items]), forgets what it received
+    and forwarded before, and reports only what arrived after. *)
 val stream_down :
   ?faults:Fault.t ->
   ?reliable:bool ->
   Bfs_tree.tree ->
-  items:int list ->
+  items:int array ->
   metrics:Metrics.t ->
-  int list array
+  int array array

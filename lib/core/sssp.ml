@@ -14,12 +14,13 @@ let run ?faults ?reliable g labels ~source ~metrics =
   let tree = Bfs_tree.build ?faults ?reliable skeleton ~root:source ~metrics in
   let la_s = labels.(source) in
   (* stream the source label: anchor id, d_to, d_from per entry *)
-  let items = ref [] in
-  for i = Labeling.length la_s - 1 downto 0 do
-    items :=
-      Labeling.anchor_at la_s i :: Labeling.d_to_at la_s i :: Labeling.d_from_at la_s i :: !items
+  let k = Labeling.length la_s in
+  let items = Array.make (3 * k) 0 in
+  for i = 0 to k - 1 do
+    items.(3 * i) <- Labeling.anchor_at la_s i;
+    items.((3 * i) + 1) <- Labeling.d_to_at la_s i;
+    items.((3 * i) + 2) <- Labeling.d_from_at la_s i
   done;
-  let items = !items in
   let before = Metrics.rounds metrics in
   let received = Broadcast.stream_down ?faults ?reliable tree ~items ~metrics in
   let broadcast_rounds = Metrics.rounds metrics - before in
@@ -29,14 +30,13 @@ let run ?faults ?reliable g labels ~source ~metrics =
   let dist_from_source = Array.make n Digraph.inf in
   let dist_to_source = Array.make n Digraph.inf in
   for v = 0 to n - 1 do
-    let rec rebuild la = function
-      | a :: dt :: df :: rest ->
-          Labeling.set la ~anchor:a ~d_to:dt ~d_from:df;
-          rebuild la rest
-      | [] -> la
-      | _ -> invalid_arg "Sssp.run: malformed label stream"
-    in
-    let la_s_local = rebuild (Labeling.create source) received.(v) in
+    let got = received.(v) in
+    if Array.length got mod 3 <> 0 then invalid_arg "Sssp.run: malformed label stream";
+    let la_s_local = Labeling.create source in
+    for i = 0 to (Array.length got / 3) - 1 do
+      Labeling.set la_s_local ~anchor:got.(3 * i) ~d_to:got.((3 * i) + 1)
+        ~d_from:got.((3 * i) + 2)
+    done;
     dist_from_source.(v) <- Labeling.decode la_s_local labels.(v);
     dist_to_source.(v) <- Labeling.decode labels.(v) la_s_local
   done;

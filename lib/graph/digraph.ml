@@ -92,14 +92,31 @@ let iter_adjacent g v f =
   Array.iter visit g.out_adj.(v);
   if g.directed then Array.iter visit g.in_adj.(v)
 
+(* the other endpoint of every incident edge, in one array of the
+   degree's length, sorted and deduplicated in place; [Array.sub] cuts
+   it only when self-loops or parallel or antiparallel edges leave it
+   short *)
 let neighbors g v =
-  let seen = Hashtbl.create 8 in
-  let add u = if u <> v && not (Hashtbl.mem seen u) then Hashtbl.add seen u () in
-  Array.iter (fun ei -> let e = g.edges.(ei) in add e.src; add e.dst) g.out_adj.(v);
-  if g.directed then
-    Array.iter (fun ei -> let e = g.edges.(ei) in add e.src; add e.dst) g.in_adj.(v);
-  let out = Hashtbl.fold (fun u () acc -> u :: acc) seen [] in
-  Array.of_list (List.sort compare out)
+  let out = g.out_adj.(v) in
+  let inc = if g.directed then g.in_adj.(v) else [||] in
+  let n_out = Array.length out in
+  let deg = n_out + Array.length inc in
+  let buf = Array.make deg 0 in
+  for i = 0 to deg - 1 do
+    let e = g.edges.(if i < n_out then out.(i) else inc.(i - n_out)) in
+    buf.(i) <- (if e.src = v then e.dst else e.src)
+  done;
+  Array.sort Int.compare buf;
+  (* keep each endpoint once, and drop [v], which self-loops put there *)
+  let kept = ref 0 in
+  for i = 0 to deg - 1 do
+    let u = buf.(i) in
+    if u <> v && (!kept = 0 || u <> buf.(!kept - 1)) then begin
+      buf.(!kept) <- u;
+      incr kept
+    end
+  done;
+  if !kept = deg then buf else Array.sub buf 0 !kept
 
 let skeleton g =
   let seen = Hashtbl.create (Array.length g.edges) in

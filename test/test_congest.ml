@@ -572,8 +572,10 @@ let test_transport_preserves_stream_order () =
   let t = Bfs_tree.build g ~root:0 ~metrics:m in
   let items = List.init 12 Fun.id in
   let faults = Fault.create ~seed:17 drops_profile in
-  let got = Broadcast.stream_down ~faults ~reliable:true t ~items ~metrics:m in
-  Array.iter (fun l -> Alcotest.(check (list int)) "items in order" items l) got
+  let got =
+    Broadcast.stream_down ~faults ~reliable:true t ~items:(Array.of_list items) ~metrics:m
+  in
+  Array.iter (fun l -> Alcotest.(check (list int)) "items in order" items (Array.to_list l)) got
 
 let test_transport_convergecast_under_faults () =
   let g = Generators.grid 4 4 in
@@ -849,8 +851,12 @@ let test_transport_watermark_dedup_exact () =
   let t = Bfs_tree.build g ~root:0 ~metrics:m in
   let items = List.init 30 Fun.id in
   let faults = Fault.create ~seed:31 (Fault.profile ~duplicate:0.6 ~max_delay:4 ()) in
-  let got = Broadcast.stream_down ~faults ~reliable:true t ~items ~metrics:m in
-  Array.iter (fun l -> Alcotest.(check (list int)) "items exactly once, in order" items l) got;
+  let got =
+    Broadcast.stream_down ~faults ~reliable:true t ~items:(Array.of_list items) ~metrics:m
+  in
+  Array.iter
+    (fun l -> Alcotest.(check (list int)) "items exactly once, in order" items (Array.to_list l))
+    got;
   check_bool "duplicates actually fired" true (Metrics.get m Duplicated > 0)
 
 let prop_recovery_amnesia_oracle_exact =
@@ -999,8 +1005,8 @@ let test_stream_down_pipelines () =
   let t = Bfs_tree.build g ~root:0 ~metrics:m in
   let before = Metrics.rounds m in
   let items = List.init 20 Fun.id in
-  let got = Broadcast.stream_down t ~items ~metrics:m in
-  Array.iter (fun l -> Alcotest.(check (list int)) "items in order" items l) got;
+  let got = Broadcast.stream_down t ~items:(Array.of_list items) ~metrics:m in
+  Array.iter (fun l -> Alcotest.(check (list int)) "items in order" items (Array.to_list l)) got;
   let used = Metrics.rounds m - before in
   (* pipelining: depth 9 + 20 items, not depth * items *)
   check_bool "pipelined" true (used <= 9 + 20 + 3)
@@ -1607,6 +1613,121 @@ let prop_pqueue_matches_pair_heap =
              | None -> pop Pqueue.pop_min q = pop Pair_heap.pop_min r)
            ops))
 
+(* The list-based stream step [Broadcast.stream_down] used to run, kept
+   as the reference: a queue consumed from its head (and appended to
+   with [@]) and a received log consed in reverse. The int buffer that
+   replaced both must receive, forward and charge exactly as this did. *)
+module Stream_ref = struct
+  module Word = struct
+    type t = int
+
+    let words _ = 1
+  end
+
+  module E = Engine.Make (Word)
+  module T = Transport.Make (Word)
+
+  type state = { queue : int list; got : int list }
+
+  let run ?faults ~reliable tree ~items ~metrics =
+    let n = Array.length tree.Bfs_tree.parent in
+    let children = Array.make n [] in
+    Array.iteri
+      (fun u p -> if p >= 0 && u <> p then children.(p) <- u :: children.(p))
+      tree.Bfs_tree.parent;
+    let tree_edges = ref [] in
+    Array.iteri
+      (fun u p -> if p >= 0 && u <> p then tree_edges := (u, p, 1) :: !tree_edges)
+      tree.Bfs_tree.parent;
+    let tree_graph = Digraph.create ~directed:false n !tree_edges in
+    let step ~round:_ ~node st inbox =
+      match (st.queue, inbox) with
+      | [], [ (_, v) ] ->
+          ({ queue = []; got = v :: st.got }, List.map (fun c -> (c, v)) children.(node))
+      | _ -> (
+          let st =
+            List.fold_left
+              (fun st (_, v) -> { queue = st.queue @ [ v ]; got = v :: st.got })
+              st inbox
+          in
+          match st.queue with
+          | [] -> (st, [])
+          | item :: rest ->
+              ({ st with queue = rest }, List.map (fun c -> (c, item)) children.(node)))
+    in
+    let init v =
+      if v = tree.Bfs_tree.root then { queue = items; got = List.rev items }
+      else { queue = []; got = [] }
+    in
+    let active st = st.queue <> [] in
+    let states =
+      if reliable then T.run tree_graph ?faults ~init ~step ~active ~metrics ~label:"stream" ()
+      else E.run tree_graph ?faults ~init ~step ~active ~metrics ~label:"stream" ()
+    in
+    Array.map (fun st -> List.rev st.got) states
+end
+
+type stream_faults = No_faults | Lossy | Amnesia
+
+(* A case: a path or a random k-tree, a root, 0-40 items, a fault mode
+   and a transport switch. [Lossy] drops, duplicates and delays raw
+   copies; [Amnesia] restarts a non-root node with no memory while the
+   stream is passing through. *)
+let arbitrary_stream_case =
+  let open QCheck in
+  let gen =
+    Gen.(
+      map
+        (fun ((seed, ktree, n), (items, mode, reliable)) ->
+          (seed, ktree, n, items, mode, reliable))
+        (pair
+           (triple (int_range 0 1000) bool (int_range 1 24))
+           (triple (int_range 0 40) (oneofl [ No_faults; Lossy; Amnesia ]) bool)))
+  in
+  let print (seed, ktree, n, items, mode, reliable) =
+    Printf.sprintf "seed %d, %s n=%d, %d items, %s%s" seed
+      (if ktree then "k-tree" else "path")
+      n items
+      (match mode with No_faults -> "no faults" | Lossy -> "lossy" | Amnesia -> "amnesia")
+      (if reliable then ", reliable" else "")
+  in
+  make ~print gen
+
+let stream_case_faults ~seed ~n ~root ~items mode =
+  let rng = Random.State.make [| seed; 0x57 |] in
+  match mode with
+  | No_faults -> None
+  | Lossy ->
+      let pct k = float_of_int (Random.State.int rng k) /. 100.0 in
+      Some
+        (Fault.profile ~drop:(pct 30) ~duplicate:(pct 40) ~max_delay:(Random.State.int rng 4) ())
+  | Amnesia when n = 1 -> None
+  | Amnesia ->
+      let node = (root + 1 + Random.State.int rng (n - 1)) mod n in
+      let from = 1 + Random.State.int rng (n + items + 1) in
+      let until = from + 1 + Random.State.int rng 8 in
+      Some (Fault.profile ~crashes:[ amnesia_crash node ~from ~until ] ())
+
+let prop_stream_down_matches_list_model =
+  QCheck.Test.make ~name:"stream_down = list-based stream model" ~count:300
+    ~long_factor:50 arbitrary_stream_case
+    (fun (seed, ktree, n, k, mode, reliable) ->
+      let g = if ktree && n > 3 then Generators.k_tree ~seed n 3 else Generators.path n in
+      let root = seed mod n in
+      let tree = Bfs_tree.build g ~root ~metrics:(Metrics.create ()) in
+      let items = List.init k (fun i -> (i * 7919) + seed) in
+      let profile = stream_case_faults ~seed ~n ~root ~items:k mode in
+      (* each run gets its own adversary, drawing the same fates *)
+      let faults () = Option.map (Fault.create ~seed) profile in
+      let m_ref = Metrics.create () and m = Metrics.create () in
+      let expected = Stream_ref.run ?faults:(faults ()) ~reliable tree ~items ~metrics:m_ref in
+      let got =
+        Broadcast.stream_down ?faults:(faults ()) ~reliable tree ~items:(Array.of_list items)
+          ~metrics:m
+      in
+      Array.map Array.to_list got = expected
+      && Metrics.to_json m = Metrics.to_json m_ref)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -1621,6 +1742,7 @@ let () =
         prop_healed_partition_exact;
         prop_sort_inbox_is_stable_sort;
         prop_pqueue_matches_pair_heap;
+        prop_stream_down_matches_list_model;
       ]
   in
   Alcotest.run "repro_congest"

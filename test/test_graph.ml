@@ -336,6 +336,32 @@ let prop_io_roundtrip =
       = Repro_graph.Io.to_string g)
 
 
+(* [Digraph.neighbors] as it was built on a hashtable, kept as the
+   reference for the sort-and-dedupe version *)
+let neighbors_ref g v =
+  let seen = Hashtbl.create 8 in
+  let add u = if u <> v && not (Hashtbl.mem seen u) then Hashtbl.add seen u () in
+  let add_ends ei =
+    let e = Digraph.edge g ei in
+    add e.Digraph.src;
+    add e.Digraph.dst
+  in
+  Array.iter add_ends (Digraph.out_edges g v);
+  if Digraph.directed g then Array.iter add_ends (Digraph.in_edges g v);
+  let out = Hashtbl.fold (fun u () acc -> u :: acc) seen [] in
+  Array.of_list (List.sort compare out)
+
+(* Endpoints drawn from a few vertices: self-loops, parallel and
+   antiparallel edges are common, and so are isolated vertices. *)
+let prop_neighbors_match_hashtable =
+  QCheck.Test.make ~name:"neighbors = hashtable reference on multigraphs" ~count:300
+    QCheck.(
+      triple bool (int_range 1 10) (list_of_size Gen.(0 -- 40) (pair small_nat small_nat)))
+    (fun (directed, n, ends) ->
+      let g = Digraph.create ~directed n (List.map (fun (a, b) -> (a mod n, b mod n, 1)) ends) in
+      List.for_all (fun v -> Digraph.neighbors g v = neighbors_ref g v) (List.init n Fun.id))
+
+
 let test_io_to_dot () =
   let g = Digraph.create_labeled ~directed:true 2 [ (0, 1, 5, 2) ] in
   let dot = Repro_graph.Io.to_dot g in
@@ -361,7 +387,13 @@ let test_mask_helpers () =
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest
-      [ prop_pqueue; prop_dijkstra_triangle; prop_matching_at_least_greedy; prop_io_roundtrip ]
+      [
+        prop_pqueue;
+        prop_dijkstra_triangle;
+        prop_matching_at_least_greedy;
+        prop_io_roundtrip;
+        prop_neighbors_match_hashtable;
+      ]
   in
   Alcotest.run "repro_graph"
     [
