@@ -1,5 +1,6 @@
 module Digraph = Repro_graph.Digraph
 module Metrics = Repro_congest.Metrics
+module Bfs_tree = Repro_congest.Bfs_tree
 module Part = Repro_shortcut.Part
 module Primitives = Repro_shortcut.Primitives
 module Decomposition = Repro_treedec.Decomposition
@@ -83,6 +84,13 @@ let build g dec ~metrics =
     let bag = Decomposition.bag dec x in
     let b = Array.length bag in
     Array.iteri (fun i v -> pos.(v) <- i) bag;
+    (* labels take a bag's entries in one [Labeling.set_sorted] batch per
+       vertex: the bag's vertices in increasing order (min-fill and
+       hand-built bags are not sorted; a repeated vertex is kept once),
+       the bag position of each, and the batch's distance columns *)
+    let anchors = Array.of_list (List.sort_uniq Int.compare (Array.to_list bag)) in
+    let order = Array.map (fun v -> pos.(v)) anchors in
+    let b_to = Array.map (fun _ -> 0) order and b_from = Array.map (fun _ -> 0) order in
     let children = Decomposition.children dec x in
     let h = Array.make_matrix b b inf in
     for i = 0 to b - 1 do
@@ -119,10 +127,12 @@ let build g dec ~metrics =
     (* bag vertices learn exact in-G_x distances inside the bag *)
     Array.iteri
       (fun i u ->
-        Array.iteri
-          (fun j s ->
-            Labeling.set labels.(u) ~anchor:s ~d_to:h.(i).(j) ~d_from:h.(j).(i))
-          bag)
+        for r = 0 to Array.length order - 1 do
+          let j = order.(r) in
+          b_to.(r) <- h.(i).(j);
+          b_from.(r) <- h.(j).(i)
+        done;
+        Labeling.set_sorted labels.(u) ~anchors ~d_to:b_to ~d_from:b_from)
       bag;
     (* non-bag vertices extend through their child's gateway anchors *)
     (match children with
@@ -161,23 +171,36 @@ let build g dec ~metrics =
                   incr reach
                 end
               done;
-              for j = 0 to b - 1 do
+              for r = 0 to Array.length order - 1 do
+                let j = order.(r) in
                 let d_to = ref inf and d_from = ref inf in
-                for r = 0 to !reach - 1 do
-                  let ai = r_pos.(r) in
-                  if r_to.(r) < inf && h.(ai).(j) < inf then
-                    d_to := Int.min !d_to (r_to.(r) + h.(ai).(j));
-                  if r_from.(r) < inf && h.(j).(ai) < inf then
-                    d_from := Int.min !d_from (h.(j).(ai) + r_from.(r))
+                for q = 0 to !reach - 1 do
+                  let ai = r_pos.(q) in
+                  if r_to.(q) < inf && h.(ai).(j) < inf then
+                    d_to := Int.min !d_to (r_to.(q) + h.(ai).(j));
+                  if r_from.(q) < inf && h.(j).(ai) < inf then
+                    d_from := Int.min !d_from (h.(j).(ai) + r_from.(q))
                 done;
-                Labeling.set la ~anchor:bag.(j) ~d_to:!d_to ~d_from:!d_from
-              done
+                b_to.(r) <- !d_to;
+                b_from.(r) <- !d_from
+              done;
+              Labeling.set_sorted la ~anchors ~d_to:b_to ~d_from:b_from
             end)
           vset);
     Array.iter (fun v -> pos.(v) <- -1) bag;
     !h_edges
   in
-  (* process by level, deepest first, charging one scheduled BCT per level *)
+  (* process by level, deepest first, charging one scheduled BCT per level.
+     Every level's basis is measured on one charge tree, the root-0 BFS
+     tree of the skeleton (tree-restricted shortcuts are defined relative
+     to one fixed spanning tree), flooded once per build into [flood]; each
+     level is still charged that flood in full (the "bfs-tree" label), as
+     when every level flooded its own: the same rounds, messages and
+     synchronizer counters (DESIGN §3) *)
+  let flood = Metrics.create () in
+  let tree =
+    Bfs_tree.build (if Digraph.directed g then Digraph.skeleton g else g) ~root:0 ~metrics:flood
+  in
   let by_depth = Hashtbl.create 16 in
   List.iter
     (fun x ->
@@ -196,11 +219,8 @@ let build g dec ~metrics =
         Array.of_list (List.map (fun x -> Hashtbl.find vsets x) level_keys)
       in
       let parts = Part.make_unchecked g members in
-      (* each level still floods and charges its own BFS tree (the
-         "bfs-tree" label), where decomposition and matching measure every
-         basis on one [Primitives.charge_tree] per run (DESIGN §3); sharing
-         one tree here would lower the charged rounds and messages *)
-      let b = Primitives.basis parts ~metrics in
+      let b = Primitives.basis ~tree parts ~metrics in
+      Metrics.merge ~into:metrics flood;
       Metrics.add metrics ~label:"dl/level" (Primitives.bct_rounds b ~h:!h_max))
     depths;
   labels

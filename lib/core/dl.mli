@@ -14,7 +14,9 @@
 
 (** [build g dec ~metrics] returns exact distance labels for the weighted
     directed (or undirected) graph [g]. Rounds charged per level under
-    ["dl/level"]. *)
+    ["dl/level"], and per level the flood of the root-0 BFS tree every
+    level's basis is measured on (["bfs-tree"]; flooded once per build,
+    so a trace holds one run of it). *)
 val build :
   Repro_graph.Digraph.t ->
   Repro_treedec.Decomposition.t ->

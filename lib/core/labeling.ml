@@ -31,11 +31,15 @@ let copy_prefix src len cap =
   done;
   dst
 
-let grow t =
-  let cap = max 8 (2 * Array.length t.anchor) in
+(* room for [need] entries: at least double, so appends stay O(1)
+   amortized *)
+let grow t need =
+  let cap = max need (max 8 (2 * Array.length t.anchor)) in
   t.anchor <- copy_prefix t.anchor t.len cap;
   t.d_to <- copy_prefix t.d_to t.len cap;
   t.d_from <- copy_prefix t.d_from t.len cap
+
+let clear t = t.len <- 0
 
 (* the first position whose anchor is at least [a], or [len] *)
 let lower_bound t a =
@@ -59,7 +63,7 @@ let set t ~anchor ~d_to ~d_from =
   if n = 0 || t.anchor.(n - 1) < anchor then begin
     (* past the last anchor: the codec reader and SSSP's rebuild insert
        in ascending order, so they always append here *)
-    if n = Array.length t.anchor then grow t;
+    if n = Array.length t.anchor then grow t (n + 1);
     t.anchor.(n) <- anchor;
     t.d_to.(n) <- d_to;
     t.d_from.(n) <- d_from;
@@ -72,7 +76,7 @@ let set t ~anchor ~d_to ~d_from =
       if d_from < t.d_from.(i) then t.d_from.(i) <- d_from
     end
     else begin
-      if n = Array.length t.anchor then grow t;
+      if n = Array.length t.anchor then grow t (n + 1);
       let a = t.anchor and dt = t.d_to and df = t.d_from in
       for k = n downto i + 1 do
         a.(k) <- a.(k - 1);
@@ -84,6 +88,66 @@ let set t ~anchor ~d_to ~d_from =
       df.(i) <- d_from;
       t.len <- n + 1
     end
+  end
+
+(* A merge of two sorted runs from the back: the [k] batch entries and
+   the [n] present ones land in their final slots [0 .. n + k - shared),
+   so nothing is written twice and no entry is shifted more than once.
+   Counting the shared anchors first gives the final length; the count
+   starts at the first present anchor the batch can meet. *)
+let set_sorted t ~anchors ~d_to ~d_from =
+  let k = Array.length anchors in
+  if Array.length d_to <> k || Array.length d_from <> k then
+    invalid_arg "Labeling.set_sorted: arrays of different lengths";
+  for j = 1 to k - 1 do
+    if anchors.(j - 1) >= anchors.(j) then
+      invalid_arg "Labeling.set_sorted: anchors do not strictly increase"
+  done;
+  if k > 0 then begin
+    let n = t.len in
+    let shared = ref 0 and i = ref (lower_bound t anchors.(0)) and j = ref 0 in
+    while !i < n && !j < k do
+      let a = t.anchor.(!i) and b = anchors.(!j) in
+      if a < b then incr i
+      else if a > b then incr j
+      else begin
+        incr shared;
+        incr i;
+        incr j
+      end
+    done;
+    let len = n + k - !shared in
+    if len > Array.length t.anchor then grow t len;
+    let a = t.anchor and dt = t.d_to and df = t.d_from in
+    let i = ref (n - 1) and j = ref (k - 1) and w = ref (len - 1) in
+    (* once the batch is placed, [w = i]: the rest is already in place *)
+    while !j >= 0 do
+      let b = anchors.(!j) in
+      if !i >= 0 && a.(!i) > b then begin
+        a.(!w) <- a.(!i);
+        dt.(!w) <- dt.(!i);
+        df.(!w) <- df.(!i);
+        decr i
+      end
+      else begin
+        let t_new = d_to.(!j) and f_new = d_from.(!j) in
+        if !i >= 0 && a.(!i) = b then begin
+          let t_old = dt.(!i) and f_old = df.(!i) in
+          a.(!w) <- b;
+          dt.(!w) <- (if t_new < t_old then t_new else t_old);
+          df.(!w) <- (if f_new < f_old then f_new else f_old);
+          decr i
+        end
+        else begin
+          a.(!w) <- b;
+          dt.(!w) <- t_new;
+          df.(!w) <- f_new
+        end;
+        decr j
+      end;
+      decr w
+    done;
+    t.len <- len
   end
 
 let find t a =

@@ -20,7 +20,9 @@
     lookups behind them are a binary search, O(log k); {!set} appends
     in O(1) amortized when the anchor exceeds every present one, and
     otherwise costs a binary search plus a shift of the larger anchors,
-    O(k); the positional reads are O(1). *)
+    O(k); {!set_sorted} merges a batch of [b] entries in one pass,
+    O(k + b), where [b] calls of {!set} could shift the larger anchors
+    [b] times; {!clear} and the positional reads are O(1). *)
 
 type t
 
@@ -37,6 +39,21 @@ val owner : t -> int
     Inserting in ascending anchor order takes the append path, which
     allocates only when the arrays double. *)
 val set : t -> anchor:int -> d_to:int -> d_from:int -> unit
+
+(** [set_sorted label ~anchors ~d_to ~d_from] installs entry [j] =
+    [(anchors.(j), d_to.(j), d_from.(j))] for every [j], with the same
+    result as one {!set} per entry (a shared anchor keeps the
+    componentwise minimum), by one merge from the back: O(k + b) for a
+    label of [k] entries and a batch of [b]. It allocates only when the
+    arrays must grow past [k + b].
+    @raise Invalid_argument if the three arrays differ in length or
+    [anchors] does not strictly increase; the label is then unchanged. *)
+val set_sorted : t -> anchors:int array -> d_to:int array -> d_from:int array -> unit
+
+(** [clear label] removes every entry, in O(1): the arrays stay
+    allocated, so a label refilled to at most its old length allocates
+    nothing. *)
+val clear : t -> unit
 
 (** {1 Entries by position}
 

@@ -29,10 +29,13 @@ let run ?faults ?reliable g labels ~source ~metrics =
   let n = Digraph.n g in
   let dist_from_source = Array.make n Digraph.inf in
   let dist_to_source = Array.make n Digraph.inf in
+  (* one scratch copy of la(source), emptied per node: its arrays grow to
+     the stream's length once, not once per node *)
+  let la_s_local = Labeling.create source in
   for v = 0 to n - 1 do
     let got = received.(v) in
     if Array.length got mod 3 <> 0 then invalid_arg "Sssp.run: malformed label stream";
-    let la_s_local = Labeling.create source in
+    Labeling.clear la_s_local;
     for i = 0 to (Array.length got / 3) - 1 do
       Labeling.set la_s_local ~anchor:got.(3 * i) ~d_to:got.((3 * i) + 1)
         ~d_from:got.((3 * i) + 2)

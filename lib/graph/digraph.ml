@@ -118,18 +118,51 @@ let neighbors g v =
   done;
   if !kept = deg then buf else Array.sub buf 0 !kept
 
+(* The first edge of each unordered pair, without a table of pairs: a
+   stable counting sort buckets the edges by their smaller endpoint, in
+   edge order; inside a bucket, stamping the larger endpoint with the
+   bucket's vertex marks each pair's first edge. The kept edges then
+   keep their edge order, as ids [0 ..]. *)
 let skeleton g =
-  let seen = Hashtbl.create (Array.length g.edges) in
-  let pairs = ref [] in
-  Array.iter
-    (fun e ->
-      let u = min e.src e.dst and v = max e.src e.dst in
-      if u <> v && not (Hashtbl.mem seen (u, v)) then begin
-        Hashtbl.add seen (u, v) ();
-        pairs := (u, v, 1) :: !pairs
+  let lo e = Int.min e.src e.dst and hi e = Int.max e.src e.dst in
+  (* bucket u is [start.(u) .. start.(u + 1) - 1] of [bucketed]: the
+     non-loop edges whose smaller endpoint is u *)
+  let start = Array.make (g.n + 1) 0 in
+  Array.iter (fun e -> if e.src <> e.dst then start.(lo e + 1) <- start.(lo e + 1) + 1) g.edges;
+  for u = 1 to g.n do
+    start.(u) <- start.(u) + start.(u - 1)
+  done;
+  let bucketed = Array.make start.(g.n) 0 and next = Array.sub start 0 g.n in
+  Array.iteri
+    (fun i e ->
+      if e.src <> e.dst then begin
+        bucketed.(next.(lo e)) <- i;
+        next.(lo e) <- next.(lo e) + 1
       end)
     g.edges;
-  create ~directed:false g.n (List.rev !pairs)
+  let first = Array.make (Array.length g.edges) false and stamp = Array.make g.n (-1) in
+  let kept = ref 0 in
+  for u = 0 to g.n - 1 do
+    for k = start.(u) to start.(u + 1) - 1 do
+      let i = bucketed.(k) in
+      let v = hi g.edges.(i) in
+      if stamp.(v) <> u then begin
+        stamp.(v) <- u;
+        first.(i) <- true;
+        incr kept
+      end
+    done
+  done;
+  let edges = Array.make !kept { id = 0; src = 0; dst = 0; weight = 1; label = 0 } in
+  let id = ref 0 in
+  Array.iteri
+    (fun i e ->
+      if first.(i) then begin
+        edges.(!id) <- { id = !id; src = lo e; dst = hi e; weight = 1; label = 0 };
+        incr id
+      end)
+    g.edges;
+  of_edge_array ~directed:false g.n edges
 
 let max_multiplicity g =
   let counts = Hashtbl.create (Array.length g.edges) in

@@ -515,6 +515,10 @@ let golden_label_cases =
     (Build.decompose ~seed:1 g ~metrics:(Metrics.create ())).Build.decomposition
   in
   let dl g m = Dl.build g (decomposition g) ~metrics:m in
+  let ptk256 =
+    Generators.bidirect ~seed:256 ~max_weight:9
+      (Generators.partial_k_tree ~seed:256 256 3 ~keep:0.6)
+  in
   let coloured =
     Digraph.with_labels
       (Generators.bidirect ~seed:96 ~max_weight:9
@@ -526,15 +530,32 @@ let golden_label_cases =
   in
   [
     ( "dl directed ptk n=256",
-      dl
-        (Generators.bidirect ~seed:256 ~max_weight:9
-           (Generators.partial_k_tree ~seed:256 256 3 ~keep:0.6)),
+      dl ptk256,
       ("0e76fa0cf01c3418963a49409c1a702e",
         {|{"rounds":252,"messages":4544,"words":4544,"delivered":4544,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"dl/level":224,"bfs-tree":28}}|}) );
     ( "dl undirected 2-tree",
       dl (Generators.random_weights ~seed:128 ~max_weight:9 (Generators.k_tree ~seed:128 128 2)),
       ("e218564864e2e6baf52e0c65e883c523",
         {|{"rounds":126,"messages":1518,"words":1518,"delivered":1518,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"dl/level":108,"bfs-tree":18}}|}) );
+    (* every level's flood merged into the metrics under the forced
+       synchronizer: pulses and SAFE messages add up, the virtual time is
+       a high-water mark *)
+    ( "dl directed ptk n=256 forced async",
+      (fun m ->
+        let forced = !Repro_congest.Async_engine.forced in
+        Repro_congest.Async_engine.forced := true;
+        Fun.protect
+          ~finally:(fun () -> Repro_congest.Async_engine.forced := forced)
+          (fun () -> dl ptk256 m)),
+      ("0e76fa0cf01c3418963a49409c1a702e",
+        {|{"rounds":252,"messages":4544,"words":4544,"delivered":4544,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":7168,"safe_messages":31808,"straggles":0,"virtual_time":25,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"dl/level":224,"bfs-tree":28}}|}) );
+    (* min-fill bags are not sorted, and this decomposition has 22 levels *)
+    ( "dl min-fill grid 7x8",
+      (fun m ->
+        let g = Generators.random_weights ~seed:2 ~max_weight:5 (Generators.grid 7 8) in
+        Dl.build g (Heuristic.min_fill g) ~metrics:m),
+      ("c8b99ea6260d5bcb9f2b408f8690383d",
+        {|{"rounds":1290,"messages":4268,"words":4268,"delivered":4268,"dropped":0,"duplicated":0,"retransmissions":0,"corrupted":0,"rejected":0,"suspicions":0,"link_failures":0,"checkpoints":0,"checkpoint_words":0,"recoveries":0,"resync_rounds":0,"pulses":0,"safe_messages":0,"straggles":0,"virtual_time":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"labels":{"dl/level":960,"bfs-tree":330}}|}) );
     ( "dl wheel n=200",
       dl (Generators.wheel 200),
       ("6ca140b3db96513add210bac0ac2d6ae",

@@ -353,13 +353,53 @@ let neighbors_ref g v =
 
 (* Endpoints drawn from a few vertices: self-loops, parallel and
    antiparallel edges are common, and so are isolated vertices. *)
+let arbitrary_multigraph =
+  QCheck.(triple bool (int_range 1 10) (list_of_size Gen.(0 -- 40) (pair small_nat small_nat)))
+
 let prop_neighbors_match_hashtable =
   QCheck.Test.make ~name:"neighbors = hashtable reference on multigraphs" ~count:300
-    QCheck.(
-      triple bool (int_range 1 10) (list_of_size Gen.(0 -- 40) (pair small_nat small_nat)))
+    arbitrary_multigraph
     (fun (directed, n, ends) ->
       let g = Digraph.create ~directed n (List.map (fun (a, b) -> (a mod n, b mod n, 1)) ends) in
       List.for_all (fun v -> Digraph.neighbors g v = neighbors_ref g v) (List.init n Fun.id))
+
+(* [Digraph.skeleton] as it was built on a hashtable of pairs, kept as
+   the reference for the counting-sort version *)
+let skeleton_ref g =
+  let seen = Hashtbl.create (Digraph.m g) in
+  let pairs = ref [] in
+  Array.iter
+    (fun e ->
+      let u = min e.Digraph.src e.Digraph.dst and v = max e.Digraph.src e.Digraph.dst in
+      if u <> v && not (Hashtbl.mem seen (u, v)) then begin
+        Hashtbl.add seen (u, v) ();
+        pairs := (u, v, 1) :: !pairs
+      end)
+    (Digraph.edges g);
+  Digraph.create ~directed:false (Digraph.n g) (List.rev !pairs)
+
+(* the same multigraphs, with weights and labels the skeleton must drop *)
+let prop_skeleton_match_hashtable =
+  QCheck.Test.make ~name:"skeleton = hashtable reference on multigraphs" ~count:300
+    arbitrary_multigraph
+    (fun (directed, n, ends) ->
+      let g =
+        Digraph.create_labeled ~directed n
+          (List.map (fun (a, b) -> (a mod n, b mod n, a + b, a * b mod 3)) ends)
+      in
+      let s = Digraph.skeleton g and r = skeleton_ref g in
+      let same_edge (e : Digraph.edge) (f : Digraph.edge) =
+        e.id = f.id && e.src = f.src && e.dst = f.dst && e.weight = f.weight && e.label = f.label
+      in
+      Digraph.n s = Digraph.n r
+      && (not (Digraph.directed s))
+      && Digraph.m s = Digraph.m r
+      && Array.for_all2 same_edge (Digraph.edges s) (Digraph.edges r)
+      && List.for_all
+           (fun v ->
+             Digraph.out_edges s v = Digraph.out_edges r v
+             && Digraph.in_edges s v = Digraph.in_edges r v)
+           (List.init n Fun.id))
 
 
 let test_io_to_dot () =
@@ -393,6 +433,7 @@ let () =
         prop_matching_at_least_greedy;
         prop_io_roundtrip;
         prop_neighbors_match_hashtable;
+        prop_skeleton_match_hashtable;
       ]
   in
   Alcotest.run "repro_graph"

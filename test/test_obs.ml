@@ -609,6 +609,26 @@ let test_decompose_traces_one_flood () =
   in
   Alcotest.(check (list string)) "one bfs-tree run" [ "bfs-tree" ] labels
 
+(* Dl.build measures every level's basis on one charge tree and charges
+   its flood once per level (4 levels here): one traced flood, and the
+   same metrics as an untraced build *)
+let test_dl_build_traces_one_flood () =
+  let g =
+    Generators.bidirect ~seed:1 ~max_weight:9
+      (Generators.partial_k_tree ~seed:128 128 3 ~keep:0.6)
+  in
+  let dec =
+    (Repro_treedec.Build.decompose g ~metrics:(Metrics.create ())).Repro_treedec.Build.decomposition
+  in
+  let untraced = Metrics.create () and traced = Metrics.create () in
+  ignore (Repro_core.Dl.build g dec ~metrics:untraced);
+  let _, events = with_recorder (fun () -> Repro_core.Dl.build g dec ~metrics:traced) in
+  let labels =
+    List.filter_map (function Event.Run_start { label; _ } -> Some label | _ -> None) events
+  in
+  Alcotest.(check (list string)) "one bfs-tree run" [ "bfs-tree" ] labels;
+  check_string "metrics json" (Metrics.to_json untraced) (Metrics.to_json traced)
+
 (* ------------------------------------------------------------------ *)
 (* Allocation: the measured contract (DESIGN.md §3f) *)
 
@@ -891,7 +911,10 @@ let () =
           Alcotest.test_case "csv + chrome export" `Quick test_congestion_csv_and_chrome_export;
         ] );
       ( "trace volume",
-        [ Alcotest.test_case "decompose floods once" `Quick test_decompose_traces_one_flood ] );
+        [
+          Alcotest.test_case "decompose floods once" `Quick test_decompose_traces_one_flood;
+          Alcotest.test_case "Dl.build floods once" `Quick test_dl_build_traces_one_flood;
+        ] );
       ( "allocation",
         [
           Alcotest.test_case "zero-alloc paths" `Quick test_zero_alloc_paths;

@@ -155,21 +155,26 @@ type set_order = Ascending | Descending | Shuffled
 (* Each case is a few labels, each given by an owner and a list of
    [set] calls: anchors from a small range, so labels share some and
    repeat some (min-merge); distances [inf] one time in four. Every
-   label is built twice, from its calls in two orders, so [equal]
-   also meets pairs that must be equal. *)
+   label is built twice with [set], from its calls in two orders, so
+   [equal] also meets pairs that must be equal, and a third time with
+   [set_sorted] batches (see [in_batches]), dealt by the drawn batch
+   numbers. *)
 let arbitrary_set_sequences =
   let open QCheck in
   let dist = Gen.(frequency [ (1, return Digraph.inf); (3, int_range 0 60) ]) in
   let order = Gen.oneofl [ Ascending; Descending; Shuffled ] in
   let label =
     Gen.(
-      quad (int_range 0 2)
-        (list_size (int_range 0 24) (triple (int_range 0 30) dist dist))
-        order order)
+      pair
+        (quad (int_range 0 2)
+           (list_size (int_range 0 24) (triple (int_range 0 30) dist dist))
+           order order)
+        (list_size (int_range 0 24) (int_range 0 3)))
   in
-  let print (owner, calls, o1, o2) =
+  let print ((owner, calls, o1, o2), deal) =
     let name = function Ascending -> "asc" | Descending -> "desc" | Shuffled -> "shuffled" in
-    Printf.sprintf "owner %d, %s then %s: %s" owner (name o1) (name o2)
+    Printf.sprintf "owner %d, %s then %s, batches [%s]: %s" owner (name o1) (name o2)
+      (String.concat " " (List.map string_of_int deal))
       (String.concat "; "
          (List.map (fun (a, t, f) -> Printf.sprintf "%d %d %d" a t f) calls))
   in
@@ -182,22 +187,61 @@ let in_order order calls =
   | Descending -> List.stable_sort (fun x y -> by_anchor y x) calls
   | Shuffled -> calls
 
+(* The calls in ascending order, dealt into batches 0 to 3 ([deal]
+   gives the batch of the i-th; past its end, batch 0), each batch cut
+   into strictly increasing runs where an anchor repeats: the runs of
+   one batch follow each other, and a later batch's runs interleave
+   with what the earlier ones installed. An empty batch is one empty
+   run. *)
+let in_batches calls deal =
+  let sorted = in_order Ascending calls in
+  let batch_of i = match List.nth_opt deal i with Some k -> k | None -> 0 in
+  List.concat_map
+    (fun k ->
+      let batch = List.filteri (fun i _ -> batch_of i = k) sorted in
+      let runs =
+        List.fold_left
+          (fun runs ((a, _, _) as call) ->
+            match runs with
+            | ((b, _, _) :: _ as run) :: rest when b < a -> (call :: run) :: rest
+            | _ -> [ call ] :: runs)
+          [] batch
+      in
+      match runs with
+      | [] -> [ [||] ]
+      | _ -> List.rev_map (fun run -> Array.of_list (List.rev run)) runs)
+    [ 0; 1; 2; 3 ]
+
 let prop_labeling_model =
   QCheck.Test.make ~name:"labels: sorted arrays = hashtable model" ~count:500
     ~long_factor:200 arbitrary_set_sequences (fun specs ->
       let built =
         List.concat_map
-          (fun (owner, calls, o1, o2) ->
-            List.map
-              (fun order ->
-                let la = Labeling.create owner and rf = Ref_label.create owner in
-                List.iter
-                  (fun (anchor, d_to, d_from) ->
-                    Labeling.set la ~anchor ~d_to ~d_from;
-                    Ref_label.set rf ~anchor ~d_to ~d_from)
-                  (in_order order calls);
-                (la, rf))
-              [ o1; o2 ])
+          (fun ((owner, calls, o1, o2), deal) ->
+            let model calls =
+              let rf = Ref_label.create owner in
+              List.iter
+                (fun (anchor, d_to, d_from) -> Ref_label.set rf ~anchor ~d_to ~d_from)
+                calls;
+              rf
+            in
+            let batched = Labeling.create owner in
+            List.iter
+              (fun run ->
+                Labeling.set_sorted batched
+                  ~anchors:(Array.map (fun (a, _, _) -> a) run)
+                  ~d_to:(Array.map (fun (_, t, _) -> t) run)
+                  ~d_from:(Array.map (fun (_, _, f) -> f) run))
+              (in_batches calls deal);
+            (batched, model calls)
+            :: List.map
+                 (fun order ->
+                   let la = Labeling.create owner in
+                   List.iter
+                     (fun (anchor, d_to, d_from) -> Labeling.set la ~anchor ~d_to ~d_from)
+                     (in_order order calls);
+                   (la, model (in_order order calls)))
+                 [ o1; o2 ])
           specs
       in
       let agrees (la, rf) =
@@ -227,6 +271,20 @@ let prop_labeling_model =
                  && Labeling.equal la lb = Ref_label.equal rf rg)
                built)
            built)
+
+(* a batch that does not strictly increase is refused whole *)
+let test_set_sorted_rejects_unsorted () =
+  let la = Labeling.create 0 in
+  Labeling.set la ~anchor:4 ~d_to:1 ~d_from:2;
+  let before = Labeling.to_string la in
+  List.iter
+    (fun anchors ->
+      let zeros = Array.make (Array.length anchors) 0 in
+      Alcotest.check_raises "Invalid_argument"
+        (Invalid_argument "Labeling.set_sorted: anchors do not strictly increase") (fun () ->
+          Labeling.set_sorted la ~anchors ~d_to:zeros ~d_from:zeros);
+      Alcotest.(check string) "label unchanged" before (Labeling.to_string la))
+    [ [| 1; 3; 3 |]; [| 5; 2 |] ]
 
 (* ------------------------------------------------------------------ *)
 (* Codec: encode . decode = id *)
@@ -1075,6 +1133,11 @@ let () =
         [
           Alcotest.test_case "stream protocol" `Quick test_server_stream;
           Alcotest.test_case "1e5 mixed stream = oracle" `Slow test_server_large_stream;
+        ] );
+      ( "labels",
+        [
+          Alcotest.test_case "set_sorted rejects a batch that does not increase" `Quick
+            test_set_sorted_rejects_unsorted;
         ] );
       ("properties", qsuite);
     ]
