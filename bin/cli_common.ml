@@ -161,20 +161,15 @@ let unreliable_t =
            acknowledged transport (demonstrates fragility; the oracle check \
            will typically fail).")
 
-(* The spec parsers live in Fault so the parser and printer stay one
-   tested inverse pair; here we only prefix errors with the flag name. *)
-let parse_crash s =
-  Result.map_error (fun e -> Printf.sprintf "bad --crash %S: %s" s e) (Fault.parse_crash s)
-
-let parse_partition s =
-  Result.map_error
-    (fun e -> Printf.sprintf "bad --partition %S: %s" s e)
-    (Fault.parse_partition s)
-
-let parse_straggle s =
-  Result.map_error
-    (fun e -> Printf.sprintf "bad --straggle %S: %s" s e)
-    (Fault.parse_straggle s)
+(* The spec grammars live in Fault, next to the types they build. Every
+   spec given to a repeatable flag, in command-line order, or the first
+   one that does not parse, its error prefixed with the flag's name. *)
+let rec parse_all flag parse = function
+  | [] -> Ok []
+  | spec :: rest -> (
+      match parse spec with
+      | Error e -> Error (Printf.sprintf "bad --%s %S: %s" flag spec e)
+      | Ok x -> Result.map (List.cons x) (parse_all flag parse rest))
 
 let crash_t =
   Arg.(
@@ -302,30 +297,9 @@ let make_fault_config replay drop dup delay corrupt crash_specs partition_specs
     straggle_specs link_latency skew async pulse_deadline checkpoint_every fault_seed
     unreliable detector_period max_retries =
   let ( let* ) = Result.bind in
-  let* crashes =
-    List.fold_left
-      (fun acc spec ->
-        let* acc = acc in
-        let* c = parse_crash spec in
-        Ok (c :: acc))
-      (Ok []) crash_specs
-  in
-  let* partitions =
-    List.fold_left
-      (fun acc spec ->
-        let* acc = acc in
-        let* p = parse_partition spec in
-        Ok (p :: acc))
-      (Ok []) partition_specs
-  in
-  let* stragglers =
-    List.fold_left
-      (fun acc spec ->
-        let* acc = acc in
-        let* s = parse_straggle spec in
-        Ok (s :: acc))
-      (Ok []) straggle_specs
-  in
+  let* crashes = parse_all "crash" Fault.parse_crash crash_specs in
+  let* partitions = parse_all "partition" Fault.parse_partition partition_specs in
+  let* stragglers = parse_all "straggle" Fault.parse_straggle straggle_specs in
   let* recovery =
     if checkpoint_every < -1 then Error "--checkpoint-every must be >= 0"
     else if checkpoint_every < 0 then Ok None
@@ -347,8 +321,7 @@ let make_fault_config replay drop dup delay corrupt crash_specs partition_specs
       else (
         match
           Fault.profile ~drop ~duplicate:dup ~max_delay:delay ~corrupt
-            ~crashes:(List.rev crashes) ~partitions:(List.rev partitions)
-            ~stragglers:(List.rev stragglers) ~link_latency ~skew ()
+            ~crashes ~partitions ~stragglers ~link_latency ~skew ()
         with
         | profile ->
             Ok

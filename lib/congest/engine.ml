@@ -98,50 +98,7 @@ module Make (M : MSG) = struct
       (* static fault windows up front so replay can rebuild the profile *)
       match faults with
       | None -> ()
-      | Some f ->
-          let p = Fault.profile_of f in
-          List.iter
-            (fun (c : Fault.crash) ->
-              emit
-                (Repro_obs.Event.Crash_window
-                   {
-                     node = c.node;
-                     from_round = c.from_round;
-                     until_round = c.until_round;
-                     amnesia = c.mode = Fault.Amnesia;
-                   }))
-            p.crashes;
-          List.iter
-            (fun (p : Fault.partition) ->
-              let links, nodes =
-                match p.cut with
-                | Fault.Links es -> (es, [])
-                | Fault.Around vs -> ([], vs)
-              in
-              emit
-                (Repro_obs.Event.Partition_window
-                   { links; nodes; from_round = p.from_round; heal_round = p.heal_round }))
-            p.partitions;
-          List.iter
-            (fun (s : Fault.straggle) ->
-              emit
-                (Repro_obs.Event.Straggle_window
-                   {
-                     node = s.s_node;
-                     from_round = s.s_from;
-                     until_round = s.s_until;
-                     factor = s.factor;
-                   }))
-            p.stragglers;
-          if Fault.timing_active f then begin
-            emit
-              (Repro_obs.Event.Timing
-                 { link_latency = p.link_latency; skew = p.skew; seed = Fault.seed_of f });
-            for v = 0 to n - 1 do
-              let offset = Fault.skew_of f v in
-              if offset > 0 then emit (Repro_obs.Event.Skew { node = v; offset })
-            done
-          end
+      | Some f -> List.iter emit (Fault.window_events f ~n)
     end;
     (* last observed up/down status per node, for crash/restart
        transition events (allocated only when tracing) *)

@@ -1,4 +1,5 @@
 module Replay = Repro_obs.Replay
+module Event = Repro_obs.Event
 
 type mode = Freeze | Amnesia
 
@@ -112,45 +113,6 @@ let create ?(seed = 0) p =
     p;
     decider = Rng (Random.State.make [| seed lxor 0xfa17; p.max_delay + 1 |]);
     seed;
-    run = -1;
-  }
-
-let of_replay r =
-  let crashes =
-    List.map
-      (fun (w : Replay.crash_window) ->
-        crash w.node ~from:w.from_round ?until:w.until_round
-          ~mode:(if w.amnesia then Amnesia else Freeze))
-      (Replay.crashes r)
-  in
-  let partitions =
-    List.map
-      (fun (w : Replay.partition_window) ->
-        let cut = match w.links with [] -> Around w.nodes | links -> Links links in
-        partition ~from:w.p_from_round ?heal:w.heal_round cut)
-      (Replay.partitions r)
-  in
-  (* timing dimensions replay from the recorded seed alone: the draws
-     are pure hashes, so restoring the statics reproduces the exact
-     virtual-time schedule *)
-  let stragglers =
-    List.map
-      (fun (w : Replay.straggle_window) ->
-        straggle w.s_node ~from:w.s_from_round ?until:w.s_until_round ~factor:w.s_factor)
-      (Replay.stragglers r)
-  in
-  let link_latency, skew, timing_seed =
-    match Replay.timing r with
-    | Some { Replay.link_latency; skew; timing_seed } -> (link_latency, skew, timing_seed)
-    | None -> (0, 0, 0)
-  in
-  let plan ~run ~round ~src ~dst =
-    List.map (fun (extra, corrupt) -> { extra; corrupt }) (Replay.plan r ~run ~round ~src ~dst)
-  in
-  {
-    p = profile ~crashes ~partitions ~stragglers ~link_latency ~skew ();
-    decider = Scripted plan;
-    seed = timing_seed;
     run = -1;
   }
 
@@ -286,178 +248,202 @@ let latency t ~round ~src ~dst ~leg =
   if t.p.link_latency = 0 then 0
   else Hashtbl.hash (t.seed, 0x1a7e, round, src, dst, leg) mod (t.p.link_latency + 1)
 
+(* --------------------------------------------------- trace windows *)
+(* A profile's static part, written as the events that open a faulty
+   run's trace and read back from them: the windows, the timing
+   statics and the timing seed are all replay needs besides the
+   per-copy schedule. *)
+
+let window_events t ~n =
+  let p = t.p in
+  let crash_window (c : crash) =
+    Event.Crash_window
+      {
+        node = c.node;
+        from_round = c.from_round;
+        until_round = c.until_round;
+        amnesia = c.mode = Amnesia;
+      }
+  in
+  let partition_window (w : partition) =
+    let links, nodes = match w.cut with Links es -> (es, []) | Around vs -> ([], vs) in
+    Event.Partition_window { links; nodes; from_round = w.from_round; heal_round = w.heal_round }
+  in
+  let straggle_window s =
+    Event.Straggle_window
+      { node = s.s_node; from_round = s.s_from; until_round = s.s_until; factor = s.factor }
+  in
+  let timing =
+    if not (timing_active t) then []
+    else
+      Event.Timing { link_latency = p.link_latency; skew = p.skew; seed = t.seed }
+      :: List.filter_map
+           (fun v ->
+             let offset = skew_of t v in
+             if offset > 0 then Some (Event.Skew { node = v; offset }) else None)
+           (List.init n Fun.id)
+  in
+  List.map crash_window p.crashes
+  @ List.map partition_window p.partitions
+  @ List.map straggle_window p.stragglers
+  @ timing
+
+let of_replay r =
+  let add (e : Event.t) (w, seed) =
+    match e with
+    | Crash_window { node; from_round; until_round; amnesia } ->
+        let mode = if amnesia then Amnesia else Freeze in
+        let c = crash node ~from:from_round ?until:until_round ~mode in
+        ({ w with crashes = c :: w.crashes }, seed)
+    | Partition_window { links; nodes; from_round; heal_round } ->
+        let cut = if links = [] then Around nodes else Links links in
+        let p = partition ~from:from_round ?heal:heal_round cut in
+        ({ w with partitions = p :: w.partitions }, seed)
+    | Straggle_window { node; from_round; until_round; factor } ->
+        let s = straggle node ~from:from_round ?until:until_round ~factor in
+        ({ w with stragglers = s :: w.stragglers }, seed)
+    | Timing { link_latency; skew; seed } -> ({ w with link_latency; skew }, seed)
+    | _ -> (w, seed)
+  in
+  let w, seed = List.fold_right add (Replay.windows r) (profile (), 0) in
+  let plan ~run ~round ~src ~dst =
+    List.map (fun (extra, corrupt) -> { extra; corrupt }) (Replay.plan r ~run ~round ~src ~dst)
+  in
+  {
+    p =
+      profile ~crashes:w.crashes ~partitions:w.partitions ~stragglers:w.stragglers
+        ~link_latency:w.link_latency ~skew:w.skew ();
+    decider = Scripted plan;
+    seed;
+    run = -1;
+  }
+
 (* ------------------------------------------------- CLI spec grammar *)
-(* The --crash/--partition specs live here (not in bin/) so the parser
-   and printer stay one inverse pair under test: [parse_* s] followed by
-   [pp_*] yields a canonical spec that parses back to the same value. *)
+(* A spec is ':'-separated fields. Every error names the offending
+   field, numbered from 1, and restates the grammar. *)
 
-let pp_crash fmt (c : crash) =
-  Format.fprintf fmt "%d:%d" c.node c.from_round;
-  match (c.until_round, c.mode) with
-  | None, _ -> ()
-  | Some u, Freeze -> Format.fprintf fmt ":%d" u
-  | Some u, Amnesia -> Format.fprintf fmt ":%d:amnesia" u
+type grammar = { text : string; fields : string array }
 
-let crash_grammar = "NODE:FROM[:UNTIL[:MODE]] with MODE in {freeze, amnesia}"
+let ( let* ) = Result.bind
+
+let field_error g i got why =
+  Error (Printf.sprintf "field %d (%s) %S %s; expected %s" (i + 1) g.fields.(i) got why g.text)
+
+let arity_error g parts =
+  Error
+    (Printf.sprintf "%d field(s), want 2-%d; expected %s" (List.length parts)
+       (Array.length g.fields) g.text)
+
+let int_field g i v =
+  match int_of_string_opt (String.trim v) with
+  | Some n -> Ok n
+  | None -> field_error g i v "is not an integer"
+
+(* [f] over every member, left to right, or the first error *)
+let rec map_ok f = function
+  | [] -> Ok []
+  | x :: rest ->
+      let* y = f x in
+      let* ys = map_ok f rest in
+      Ok (y :: ys)
+
+let crash_grammar =
+  {
+    text = "NODE:FROM[:UNTIL[:MODE]] with MODE in {freeze, amnesia}";
+    fields = [| "NODE"; "FROM"; "UNTIL"; "MODE" |];
+  }
 
 let parse_crash s =
-  let err field what got why =
-    Error
-      (Printf.sprintf "field %d (%s) %S %s; expected %s" field what got why crash_grammar)
-  in
-  let int_field idx name v =
-    match int_of_string_opt (String.trim v) with
-    | Some i -> Ok i
-    | None -> err idx name v "is not an integer"
-  in
-  let ( let* ) = Result.bind in
+  let g = crash_grammar in
   match String.split_on_char ':' s with
-  | [ node; from ] ->
-      let* node = int_field 1 "NODE" node in
-      let* from = int_field 2 "FROM" from in
-      Ok (crash node ~from)
-  | [ node; from; until ] ->
-      let* node = int_field 1 "NODE" node in
-      let* from = int_field 2 "FROM" from in
-      let* until = int_field 3 "UNTIL" until in
-      Ok (crash node ~from ~until)
-  | [ node; from; until; mode ] ->
-      let* node = int_field 1 "NODE" node in
-      let* from = int_field 2 "FROM" from in
-      let* until = int_field 3 "UNTIL" until in
-      let* mode =
-        match String.trim mode with
-        | "freeze" -> Ok Freeze
-        | "amnesia" -> Ok Amnesia
-        | m -> err 4 "MODE" m "is not a crash mode"
-      in
-      Ok (crash node ~from ~until ~mode)
-  | parts ->
-      Error
-        (Printf.sprintf "%d field(s), want 2-4; expected %s" (List.length parts)
-           crash_grammar)
-
-let pp_partition fmt (p : partition) =
-  (match p.cut with
-  | Links es ->
-      Format.pp_print_string fmt
-        (String.concat ","
-           (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) es))
-  | Around vs ->
-      Format.fprintf fmt "@@%s" (String.concat "," (List.map string_of_int vs)));
-  Format.fprintf fmt ":%d" p.from_round;
-  match p.heal_round with None -> () | Some h -> Format.fprintf fmt ":%d" h
+  | node :: from :: rest when List.length rest <= 2 -> (
+      let* node = int_field g 0 node in
+      let* from = int_field g 1 from in
+      match rest with
+      | [] -> Ok (crash node ~from)
+      | until :: mode ->
+          let* until = int_field g 2 until in
+          let* mode =
+            match mode with
+            | [] -> Ok Freeze
+            | m :: _ -> (
+                match String.trim m with
+                | "freeze" -> Ok Freeze
+                | "amnesia" -> Ok Amnesia
+                | m -> field_error g 3 m "is not a crash mode")
+          in
+          Ok (crash node ~from ~until ~mode))
+  | parts -> arity_error g parts
 
 let partition_grammar =
-  "CUT:FROM[:HEAL] with CUT either links u-v[,u-v...] or a vertex cut @n[,n...]"
+  {
+    text = "CUT:FROM[:HEAL] with CUT either links u-v[,u-v...] or a vertex cut @n[,n...]";
+    fields = [| "CUT"; "FROM"; "HEAL" |];
+  }
+
+let parse_cut cutspec =
+  let cutspec = String.trim cutspec in
+  let bad why = field_error partition_grammar 0 cutspec why in
+  if cutspec = "" then bad "is empty"
+  else if cutspec.[0] = '@' then
+    let node v =
+      match int_of_string_opt (String.trim v) with
+      | Some i -> Ok i
+      | None -> bad (Printf.sprintf "has non-integer node %S" v)
+    in
+    let body = String.sub cutspec 1 (String.length cutspec - 1) in
+    let* vs = map_ok node (String.split_on_char ',' body) in
+    Ok (Around vs)
+  else
+    let link l =
+      match String.split_on_char '-' (String.trim l) with
+      | [ a; b ] -> (
+          match (int_of_string_opt a, int_of_string_opt b) with
+          | Some a, Some b -> Ok (a, b)
+          | _ -> bad (Printf.sprintf "has non-integer link %S" l))
+      | _ -> bad (Printf.sprintf "has malformed link %S (want u-v)" l)
+    in
+    let* es = map_ok link (String.split_on_char ',' cutspec) in
+    Ok (Links es)
 
 let parse_partition s =
-  let err field what got why =
-    Error
-      (Printf.sprintf "field %d (%s) %S %s; expected %s" field what got why
-         partition_grammar)
-  in
-  let int_field idx name v =
-    match int_of_string_opt (String.trim v) with
-    | Some i -> Ok i
-    | None -> err idx name v "is not an integer"
-  in
-  let ( let* ) = Result.bind in
-  let parse_cut cutspec =
-    let cutspec = String.trim cutspec in
-    if cutspec = "" then err 1 "CUT" cutspec "is empty"
-    else if cutspec.[0] = '@' then
-      let body = String.sub cutspec 1 (String.length cutspec - 1) in
-      let* vs =
-        List.fold_left
-          (fun acc v ->
-            let* acc = acc in
-            match int_of_string_opt (String.trim v) with
-            | Some i -> Ok (i :: acc)
-            | None -> err 1 "CUT" cutspec (Printf.sprintf "has non-integer node %S" v))
-          (Ok []) (String.split_on_char ',' body)
-      in
-      Ok (Around (List.rev vs))
-    else
-      let* es =
-        List.fold_left
-          (fun acc l ->
-            let* acc = acc in
-            match String.split_on_char '-' (String.trim l) with
-            | [ a; b ] -> (
-                match (int_of_string_opt a, int_of_string_opt b) with
-                | Some a, Some b -> Ok ((a, b) :: acc)
-                | _ -> err 1 "CUT" cutspec (Printf.sprintf "has non-integer link %S" l))
-            | _ -> err 1 "CUT" cutspec (Printf.sprintf "has malformed link %S (want u-v)" l))
-          (Ok []) (String.split_on_char ',' cutspec)
-      in
-      Ok (Links (List.rev es))
-  in
+  let g = partition_grammar in
   match String.split_on_char ':' s with
-  | [ cutspec; from ] ->
-      let* cut = parse_cut cutspec in
-      let* from = int_field 2 "FROM" from in
-      Ok (partition ~from cut)
-  | [ cutspec; from; heal ] ->
-      let* cut = parse_cut cutspec in
-      let* from = int_field 2 "FROM" from in
-      let* heal = int_field 3 "HEAL" heal in
-      Ok (partition ~from ~heal cut)
-  | parts ->
-      Error
-        (Printf.sprintf "%d field(s), want 2-3; expected %s" (List.length parts)
-           partition_grammar)
-
-let pp_straggle fmt (s : straggle) =
-  Format.fprintf fmt "%d:%d" s.s_node s.s_from;
-  match (s.s_until, s.factor) with
-  | None, 0 -> ()
-  | None, f -> Format.fprintf fmt "::%d" f
-  | Some u, 0 -> Format.fprintf fmt ":%d" u
-  | Some u, f -> Format.fprintf fmt ":%d:%d" u f
+  | cut :: from :: rest when List.length rest <= 1 -> (
+      let* cut = parse_cut cut in
+      let* from = int_field g 1 from in
+      match rest with
+      | [] -> Ok (partition ~from cut)
+      | heal :: _ ->
+          let* heal = int_field g 2 heal in
+          Ok (partition ~from ~heal cut))
+  | parts -> arity_error g parts
 
 let straggle_grammar =
-  "NODE:FROM[:UNTIL[:FACTOR]] (FACTOR 0 or omitted = stall, >= 2 = slowdown; empty UNTIL \
-   = forever)"
+  {
+    text =
+      "NODE:FROM[:UNTIL[:FACTOR]] (FACTOR 0 or omitted = stall, >= 2 = slowdown; empty \
+       UNTIL = forever)";
+    fields = [| "NODE"; "FROM"; "UNTIL"; "FACTOR" |];
+  }
 
 let parse_straggle s =
-  let err field what got why =
-    Error
-      (Printf.sprintf "field %d (%s) %S %s; expected %s" field what got why
-         straggle_grammar)
-  in
-  let int_field idx name v =
-    match int_of_string_opt (String.trim v) with
-    | Some i -> Ok i
-    | None -> err idx name v "is not an integer"
-  in
-  let until_field v =
-    (* an empty UNTIL keeps the window open forever (so a permanent
-       slowdown is expressible as NODE:FROM::FACTOR) *)
-    if String.trim v = "" then Ok None
-    else Result.map Option.some (int_field 3 "UNTIL" v)
-  in
-  let ( let* ) = Result.bind in
+  let g = straggle_grammar in
   match String.split_on_char ':' s with
-  | [ node; from ] ->
-      let* node = int_field 1 "NODE" node in
-      let* from = int_field 2 "FROM" from in
-      Ok (straggle node ~from)
-  | [ node; from; until ] ->
-      let* node = int_field 1 "NODE" node in
-      let* from = int_field 2 "FROM" from in
-      let* until = until_field until in
-      Ok (straggle node ~from ?until)
-  | [ node; from; until; factor ] ->
-      let* node = int_field 1 "NODE" node in
-      let* from = int_field 2 "FROM" from in
-      let* until = until_field until in
-      let* factor = int_field 4 "FACTOR" factor in
+  | node :: from :: rest when List.length rest <= 2 ->
+      let* node = int_field g 0 node in
+      let* from = int_field g 1 from in
+      (* an empty UNTIL keeps the window open forever (so a permanent
+         slowdown is expressible as NODE:FROM::FACTOR) *)
+      let* until =
+        match rest with
+        | [] -> Ok None
+        | v :: _ when String.trim v = "" -> Ok None
+        | v :: _ -> Result.map Option.some (int_field g 2 v)
+      in
+      let* factor = match rest with [ _; f ] -> int_field g 3 f | _ -> Ok 0 in
       Ok (straggle node ~from ?until ~factor)
-  | parts ->
-      Error
-        (Printf.sprintf "%d field(s), want 2-4; expected %s" (List.length parts)
-           straggle_grammar)
+  | parts -> arity_error g parts
 
 let pp fmt t =
   let amnesia = List.length (List.filter (fun c -> c.mode = Amnesia) t.p.crashes) in

@@ -148,25 +148,6 @@ type t
     same order. *)
 val create : ?seed:int -> profile -> t
 
-(** [of_replay r] is an adversary that replays the recorded trace [r]
-    instead of rolling dice: its crash, partition and straggler windows,
-    its timing statics and seed, and its per-copy delivery schedule.
-    The schedule is consulted for every send exactly like {!plan}
-    below, additionally keyed by which engine run of the process is
-    asking (see {!begin_run}); the engine re-applies partition drops
-    itself, so the schedule is never consulted about a severed send.
-    Used by [--replay]; the random dimensions of the profile are all
-    zero.
-
-    The timing dimensions replay from the recorded seed alone: timing
-    draws are pure hashes of the seed (see {!latency}), so restoring it
-    reproduces the exact virtual-time schedule without any recorded
-    per-copy data.
-
-    @raise Invalid_argument if a recorded crash or partition window is
-    invalid (as {!profile}). *)
-val of_replay : Repro_obs.Replay.t -> t
-
 (** [begin_run t] announces that a new [Engine.run] is starting; the
     engine calls it once per run. Scripted deciders use the resulting
     run index to section their schedule (rounds restart at 0 each
@@ -272,37 +253,55 @@ val skew_of : t -> int -> int
     and the SAFE fan-out so they are independent. *)
 val latency : t -> round:int -> src:int -> dst:int -> leg:int -> int
 
+(** {2 Trace windows}
+
+    A faulty run's trace opens with the profile's static part, so
+    replay can rebuild the adversary from the trace alone. *)
+
+(** [window_events t ~n] — the events that describe [t]'s static part
+    on an [n]-node network: one [Crash_window], [Partition_window] and
+    [Straggle_window] per window, in profile order, then, when
+    {!timing_active} holds, one [Timing] with the timing seed and one
+    [Skew] per node whose clock offset is nonzero. The engine emits
+    them after each faulty [Run_start]. *)
+val window_events : t -> n:int -> Repro_obs.Event.t list
+
+(** [of_replay r] is an adversary that replays the recorded trace [r]
+    instead of rolling dice. Its windows, timing statics and seed are
+    read back from {!Repro_obs.Replay.windows} (the events
+    {!window_events} wrote); its per-copy delivery schedule is
+    {!Repro_obs.Replay.plan}. The schedule is consulted for every send
+    exactly like {!plan}, additionally keyed by which engine run of the
+    process is asking (see {!begin_run}); the engine re-applies
+    partition drops itself, so the schedule is never consulted about a
+    severed send. Used by [--replay]; the random dimensions of the
+    profile are all zero.
+
+    The timing dimensions replay from the recorded seed alone: timing
+    draws are pure hashes of the seed (see {!latency}), so restoring it
+    reproduces the exact virtual-time schedule without any recorded
+    per-copy data.
+
+    @raise Invalid_argument if a recorded window is invalid (as
+    {!profile}). *)
+val of_replay : Repro_obs.Replay.t -> t
+
 (** {2 CLI spec grammar}
 
-    The [--crash]/[--partition] flag grammar lives here, next to the
-    types, so parser and printer stay one tested inverse pair:
-    [parse_* s] followed by [pp_*] yields a canonical spec string that
-    parses back to the same value. Errors name the offending field and
-    restate the grammar. *)
-
-(** Prints [NODE:FROM[:UNTIL[:MODE]]]; [:MODE] only when amnesia,
-    [UNTIL] omitted for crash-stop. *)
-val pp_crash : Format.formatter -> crash -> unit
+    The [--crash], [--partition] and [--straggle] flag grammars live
+    here, next to the types they build. Errors name the offending
+    field (numbered from 1) and restate the grammar. *)
 
 (** [parse_crash s] parses a [--crash] spec ([NODE:FROM[:UNTIL[:MODE]]],
     [MODE] in {freeze, amnesia}, default freeze; omitting [UNTIL] makes
     it a crash-stop). *)
 val parse_crash : string -> (crash, string) result
 
-(** Prints [CUT:FROM[:HEAL]] with [CUT] either [u-v[,u-v...]] or
-    [@n[,n...]]. *)
-val pp_partition : Format.formatter -> partition -> unit
-
 (** [parse_partition s] parses a [--partition] spec: a cut (links
     [u-v[,u-v...]], or a vertex cut [@n[,n...]] severing every link of
     the listed nodes), down from round [FROM], healing at [HEAL] if
     given. *)
 val parse_partition : string -> (partition, string) result
-
-(** Prints [NODE:FROM[:UNTIL[:FACTOR]]]; [FACTOR] omitted for stalls,
-    [UNTIL] left empty ([::FACTOR]) for permanent slowdowns, both
-    omitted for permanent stalls. *)
-val pp_straggle : Format.formatter -> straggle -> unit
 
 (** [parse_straggle s] parses a [--straggle] spec
     ([NODE:FROM[:UNTIL[:FACTOR]]]): node [NODE] straggles from pulse

@@ -93,12 +93,12 @@ let try_augment gs ~allowed ~mate ~s =
 
 type rec_node = { mask : bool array; sep : int list; level : int }
 
-let run ?(mode = `Charged) ?(profile = Separator.practical_profile) ?(seed = 0) g ~metrics =
+let run ?(mode = `Charged) ?(seed = 0) g ~metrics =
   let gs = Digraph.skeleton g in
   if Bipartite.bipartition gs = None then
     invalid_arg "Matching.run: graph is not bipartite";
   let n = Digraph.n gs in
-  let dec_report = Build.decompose ~profile ~seed gs ~metrics in
+  let dec_report = Build.decompose ~seed gs ~metrics in
   let dec = dec_report.Build.decomposition in
   let mate = Array.make n (-1) in
   let augmentations = ref 0 in
@@ -117,7 +117,7 @@ let run ?(mode = `Charged) ?(profile = Separator.practical_profile) ?(seed = 0) 
     else begin
       let cost = Primitives.cost_zero () in
       let sep, _t =
-        Separator.find_separator ~profile ~seed:(seed + level) ~tree:(Lazy.force tree) gs ~mask
+        Separator.find_separator ~seed:(seed + level) ~tree:(Lazy.force tree) gs ~mask
           ~x_mask:mask ~cost
       in
       Metrics.add metrics ~label:"matching/sep" (Primitives.cost_rounds cost);

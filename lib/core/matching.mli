@@ -26,12 +26,11 @@ type result = {
   levels : int;  (** recursion depth *)
 }
 
-(** [run ?mode ?profile ?seed g ~metrics] computes a maximum matching of
+(** [run ?mode ?seed g ~metrics] computes a maximum matching of
     the undirected bipartite graph [g]. Edge weights are ignored
     (unweighted matching). @raise Invalid_argument if not bipartite. *)
 val run :
   ?mode:mode ->
-  ?profile:Repro_treedec.Separator.profile ->
   ?seed:int ->
   Repro_graph.Digraph.t ->
   metrics:Repro_congest.Metrics.t ->

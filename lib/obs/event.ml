@@ -85,6 +85,16 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+(* every drop reason's JSON name, for the writer and the parser alike *)
+let drop_reasons =
+  [
+    (Link, "link");
+    (Receiver_down, "receiver");
+    (Severed, "severed");
+    (Garbled, "garbled");
+    (Straggler, "straggler");
+  ]
+
 let to_json = function
   | Run_start { label; faulty } ->
       Printf.sprintf {|{"e":"run_start","label":"%s","faulty":%d}|} (json_escape label)
@@ -101,13 +111,7 @@ let to_json = function
   | Drop { send_round; round; src; dst; words; reason } ->
       Printf.sprintf
         {|{"e":"drop","send_round":%d,"round":%d,"src":%d,"dst":%d,"words":%d,"reason":"%s"}|}
-        send_round round src dst words
-        (match reason with
-        | Link -> "link"
-        | Receiver_down -> "receiver"
-        | Severed -> "severed"
-        | Garbled -> "garbled"
-        | Straggler -> "straggler")
+        send_round round src dst words (List.assoc reason drop_reasons)
   | Duplicate { round; src; dst; copies } ->
       Printf.sprintf {|{"e":"duplicate","round":%d,"src":%d,"dst":%d,"copies":%d}|} round src
         dst copies
@@ -310,13 +314,10 @@ let of_json line =
           dst = int "dst";
           words = int "words";
           reason =
-            (match str "reason" with
-            | "link" -> Link
-            | "receiver" -> Receiver_down
-            | "severed" -> Severed
-            | "garbled" -> Garbled
-            | "straggler" -> Straggler
-            | r -> fail (Printf.sprintf "unknown drop reason %S" r));
+            (let r = str "reason" in
+             match List.find_opt (fun (_, name) -> name = r) drop_reasons with
+             | Some (reason, _) -> reason
+             | None -> fail (Printf.sprintf "unknown drop reason %S" r));
         }
   | "duplicate" ->
       Duplicate { round = int "round"; src = int "src"; dst = int "dst"; copies = int "copies" }

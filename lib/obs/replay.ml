@@ -10,10 +10,11 @@
    extra delay, a garbled [Drop] contributes a corrupted copy, and a
    fate left empty is a link drop; [Corrupt] events mark which
    delivered copies were garbled. Partition windows are deterministic
-   (like crash windows): the engine re-applies them itself, so replay
-   only reconstructs them from the static [Partition_window] events —
-   severed sends never consult the adversary. Replaying the schedule
-   through a scripted adversary reproduces the run exactly.
+   (like crash windows): the engine re-applies them itself, so severed
+   sends never consult the adversary, and replay only keeps the static
+   window events for [Fault.of_replay] to rebuild the profile from.
+   Replaying the schedule through a scripted adversary reproduces the
+   run exactly.
 
    A CLI invocation may call [Engine.run] several times (rounds restart
    at 0 each time), so fates are sectioned per *faulty* run in trace
@@ -26,36 +27,10 @@ let () =
     | Divergence msg -> Some ("Replay.Divergence: " ^ msg)
     | _ -> None)
 
-type crash_window = {
-  node : int;
-  from_round : int;
-  until_round : int option;
-  amnesia : bool;
-}
-
-type partition_window = {
-  links : (int * int) list;
-  nodes : int list;
-  p_from_round : int;
-  heal_round : int option;
-}
-
-type straggle_window = {
-  s_node : int;
-  s_from_round : int;
-  s_until_round : int option;
-  s_factor : int;
-}
-
-type timing = { link_latency : int; skew : int; timing_seed : int }
-
 (* a copy's recorded fate: (extra delay rounds, corrupted in flight) *)
 type t = {
   schedules : (int * int * int, (int * bool) list) Hashtbl.t array;
-  crashes : crash_window list;
-  partitions : partition_window list;
-  stragglers : straggle_window list;
-  timing : timing option;
+  windows : Event.t list;
 }
 
 let of_events events =
@@ -147,54 +122,23 @@ let of_events events =
     tbl
   in
   let schedules = Array.of_list (List.map schedule_of_run faulty_runs) in
-  (* crash/partition windows repeat identically in every faulty section
-     (one adversary per CLI invocation); keep the first section's *)
-  let crashes, partitions, stragglers, timing =
+  (* the windows repeat identically in every faulty section (one
+     adversary per CLI invocation); keep the first section's *)
+  let windows =
     match faulty_runs with
-    | [] -> ([], [], [], None)
+    | [] -> []
     | first :: _ ->
-        ( List.filter_map
-            (fun (e : Event.t) ->
-              match e with
-              | Crash_window { node; from_round; until_round; amnesia } ->
-                  Some { node; from_round; until_round; amnesia }
-              | _ -> None)
-            first.events,
-          List.filter_map
-            (fun (e : Event.t) ->
-              match e with
-              | Partition_window { links; nodes; from_round; heal_round } ->
-                  Some { links; nodes; p_from_round = from_round; heal_round }
-              | _ -> None)
-            first.events,
-          List.filter_map
-            (fun (e : Event.t) ->
-              match e with
-              | Straggle_window { node; from_round; until_round; factor } ->
-                  Some
-                    {
-                      s_node = node;
-                      s_from_round = from_round;
-                      s_until_round = until_round;
-                      s_factor = factor;
-                    }
-              | _ -> None)
-            first.events,
-          List.find_map
-            (fun (e : Event.t) ->
-              match e with
-              | Timing { link_latency; skew; seed } ->
-                  Some { link_latency; skew; timing_seed = seed }
-              | _ -> None)
-            first.events )
+        List.filter
+          (fun (e : Event.t) ->
+            match e with
+            | Crash_window _ | Partition_window _ | Straggle_window _ | Timing _ -> true
+            | _ -> false)
+          first.events
   in
-  { schedules; crashes; partitions; stragglers; timing }
+  { schedules; windows }
 
 let runs t = Array.length t.schedules
-let crashes t = t.crashes
-let partitions t = t.partitions
-let stragglers t = t.stragglers
-let timing t = t.timing
+let windows t = t.windows
 
 let plan t ~run ~round ~src ~dst =
   if run < 0 || run >= Array.length t.schedules then

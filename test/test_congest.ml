@@ -1415,66 +1415,64 @@ let test_detector_rejects_non_neighbor () =
              (false, []))
            ~active:Fun.id ~metrics:(Metrics.create ()) ~label:"t" ()))
 
-let test_spec_roundtrips () =
-  let crash s =
-    match Fault.parse_crash s with
-    | Error e -> Alcotest.failf "parse_crash %S: %s" s e
-    | Ok c -> (
-        let printed = Format.asprintf "%a" Fault.pp_crash c in
-        match Fault.parse_crash printed with
-        | Error e -> Alcotest.failf "reparse %S: %s" printed e
-        | Ok c' -> check_bool (s ^ " round-trips") true (c = c'))
+let test_specs_parse_to_values () =
+  let parses parse s want =
+    match parse s with
+    | Error e -> Alcotest.failf "%S: %s" s e
+    | Ok v -> check_bool (Printf.sprintf "%S parses to its value" s) true (v = want)
   in
-  List.iter crash [ "7:3"; "7:3:12"; "0:0:5:freeze"; "9:2:14:amnesia" ];
-  let partition s =
-    match Fault.parse_partition s with
-    | Error e -> Alcotest.failf "parse_partition %S: %s" s e
-    | Ok p -> (
-        let printed = Format.asprintf "%a" Fault.pp_partition p in
-        match Fault.parse_partition printed with
-        | Error e -> Alcotest.failf "reparse %S: %s" printed e
-        | Ok p' -> check_bool (s ^ " round-trips") true (p = p'))
-  in
-  List.iter partition [ "0-1:3"; "0-1,2-3:0:9"; "@4:2"; "@4,5,6:1:7"; "1-2:0" ];
-  let straggle s =
-    match Fault.parse_straggle s with
-    | Error e -> Alcotest.failf "parse_straggle %S: %s" s e
-    | Ok w -> (
-        let printed = Format.asprintf "%a" Fault.pp_straggle w in
-        match Fault.parse_straggle printed with
-        | Error e -> Alcotest.failf "reparse %S: %s" printed e
-        | Ok w' -> check_bool (s ^ " round-trips") true (w = w'))
-  in
+  let crash = parses Fault.parse_crash in
+  crash "7:3" (Fault.crash 7 ~from:3);
+  crash "7:3:12" (Fault.crash 7 ~from:3 ~until:12);
+  crash "0:0:5:freeze" (Fault.crash 0 ~from:0 ~until:5 ~mode:Fault.Freeze);
+  crash "9:2:14:amnesia" (Fault.crash 9 ~from:2 ~until:14 ~mode:Fault.Amnesia);
+  let partition = parses Fault.parse_partition in
+  partition "0-1:3" (Fault.partition ~from:3 (Fault.Links [ (0, 1) ]));
+  partition "0-1,2-3:0:9" (Fault.partition ~from:0 ~heal:9 (Fault.Links [ (0, 1); (2, 3) ]));
+  partition "@4:2" (Fault.partition ~from:2 (Fault.Around [ 4 ]));
+  partition "@4,5,6:1:7" (Fault.partition ~from:1 ~heal:7 (Fault.Around [ 4; 5; 6 ]));
+  partition "1-2:0" (Fault.partition ~from:0 (Fault.Links [ (1, 2) ]));
   (* permanent stall, bounded stall, permanent slowdown, bounded slowdown *)
-  List.iter straggle [ "7:3"; "7:3:12"; "5:2::4"; "5:2:9:6" ]
+  let straggle = parses Fault.parse_straggle in
+  straggle "7:3" (Fault.straggle 7 ~from:3);
+  straggle "7:3:12" (Fault.straggle 7 ~from:3 ~until:12);
+  straggle "5:2::4" (Fault.straggle 5 ~from:2 ~factor:4);
+  straggle "5:2:9:6" (Fault.straggle 5 ~from:2 ~until:9 ~factor:6)
 
 let test_spec_errors_name_field_and_grammar () =
-  let fails_with parse s frag =
+  let fails_with parse grammar s want =
     match parse s with
     | Ok _ -> Alcotest.failf "%S unexpectedly parsed" s
-    | Error e ->
-        let has sub =
-          let n = String.length sub and m = String.length e in
-          let rec go i = i + n <= m && (String.sub e i n = sub || go (i + 1)) in
-          go 0
-        in
-        check_bool (Printf.sprintf "%S error mentions %S (got %S)" s frag e) true (has frag)
+    | Error e -> Alcotest.(check string) (Printf.sprintf "%S error" s) (want ^ grammar) e
   in
-  fails_with Fault.parse_crash "x:3" "field 1";
-  fails_with Fault.parse_crash "x:3" "NODE:FROM";
-  fails_with Fault.parse_crash "4" "field(s)";
-  fails_with Fault.parse_crash "4:1:z" "field 3";
-  fails_with Fault.parse_crash "4:2:9:melt" "field 4";
-  fails_with Fault.parse_partition "0-1" "CUT:FROM";
-  fails_with Fault.parse_partition "0x1:4" "field 1";
-  fails_with Fault.parse_partition "0x1:4" "malformed link";
-  fails_with Fault.parse_partition "@a,2:4" "non-integer node";
-  fails_with Fault.parse_partition "0-1:2:x" "field 3";
-  fails_with Fault.parse_straggle "x:3" "field 1";
-  fails_with Fault.parse_straggle "x:3" "NODE:FROM";
-  fails_with Fault.parse_straggle "4" "field(s)";
-  fails_with Fault.parse_straggle "4:1:z" "field 3";
-  fails_with Fault.parse_straggle "4:2:9:fast" "field 4"
+  let crash =
+    fails_with Fault.parse_crash
+      "; expected NODE:FROM[:UNTIL[:MODE]] with MODE in {freeze, amnesia}"
+  in
+  crash "x:3" {|field 1 (NODE) "x" is not an integer|};
+  crash "4" "1 field(s), want 2-4";
+  crash "4:1:z" {|field 3 (UNTIL) "z" is not an integer|};
+  crash "4:2:9:melt" {|field 4 (MODE) "melt" is not a crash mode|};
+  let partition =
+    fails_with Fault.parse_partition
+      "; expected CUT:FROM[:HEAL] with CUT either links u-v[,u-v...] or a vertex cut \
+       @n[,n...]"
+  in
+  partition "0-1" "1 field(s), want 2-3";
+  partition ":4" {|field 1 (CUT) "" is empty|};
+  partition "0x1:4" {|field 1 (CUT) "0x1" has malformed link "0x1" (want u-v)|};
+  partition "0-a:4" {|field 1 (CUT) "0-a" has non-integer link "0-a"|};
+  partition "@a,2:4" {|field 1 (CUT) "@a,2" has non-integer node "a"|};
+  partition "0-1:2:x" {|field 3 (HEAL) "x" is not an integer|};
+  let straggle =
+    fails_with Fault.parse_straggle
+      "; expected NODE:FROM[:UNTIL[:FACTOR]] (FACTOR 0 or omitted = stall, >= 2 = \
+       slowdown; empty UNTIL = forever)"
+  in
+  straggle "x:3" {|field 1 (NODE) "x" is not an integer|};
+  straggle "4" "1 field(s), want 2-4";
+  straggle "4:1:z" {|field 3 (UNTIL) "z" is not an integer|};
+  straggle "4:2:9:fast" {|field 4 (FACTOR) "fast" is not an integer|}
 
 (* post-heal exactness: a partition that fully heals, plus drop/dup/
    delay/corruption, must leave no trace — outputs byte-identical to
@@ -1810,7 +1808,7 @@ let () =
           Alcotest.test_case "detector latency bound" `Quick test_detector_latency_within_bound;
           Alcotest.test_case "deadline cuts chronic straggler" `Quick
             test_deadline_cuts_chronic_straggler;
-          Alcotest.test_case "spec round-trips" `Quick test_spec_roundtrips;
+          Alcotest.test_case "specs parse to their values" `Quick test_specs_parse_to_values;
           Alcotest.test_case "spec errors name the field" `Quick
             test_spec_errors_name_field_and_grammar;
           Alcotest.test_case "one cut pair drops its copies" `Quick test_single_cut_drops_copies;

@@ -47,59 +47,105 @@ let with_recorder f =
 (* ------------------------------------------------------------------ *)
 (* Event JSON *)
 
-let sample_events : Event.t list =
+(* each sample event with the exact line [Event.to_json] writes for it *)
+let sample_lines : (Event.t * string) list =
   [
-    Run_start { label = "bfs \"quoted\"\nline"; faulty = true };
-    Round_start { round = 0 };
-    Round_end { round = 7 };
-    Send { round = 1; src = 2; dst = 3; words = 4 };
-    Deliver { send_round = 1; round = 2; src = 2; dst = 3; words = 4 };
-    Drop { send_round = 1; round = 1; src = 0; dst = 9; words = 1; reason = Link };
-    Drop { send_round = 1; round = 3; src = 0; dst = 9; words = 1; reason = Receiver_down };
-    Duplicate { round = 5; src = 1; dst = 2; copies = 2 };
-    Delay { round = 5; src = 1; dst = 2; deliver_round = 8 };
-    Retransmit { round = 6; src = 4; dst = 5; seq = 11 };
-    Ack { round = 7; src = 4; dst = 5; seq = 11 };
-    Crash { round = 3; node = 6 };
-    Restart { round = 9; node = 6 };
-    Crash_window { node = 6; from_round = 3; until_round = Some 9; amnesia = true };
-    Crash_window { node = 7; from_round = 2; until_round = None; amnesia = false };
-    Checkpoint { round = 4; node = 1; words = 17 };
-    Recovery_resync { round = 10; node = 6 };
-    Partition { round = 2; src = 1; dst = 4 };
-    Heal { round = 6; src = 1; dst = 4 };
-    Corrupt { send_round = 2; deliver_round = 3; src = 1; dst = 2 };
-    Nack { round = 3; src = 2; dst = 1; seq = 5 };
-    Link_lost { round = 4; src = 2; dst = 1; seq = 5; retries = 3 };
-    Suspect { round = 5; node = 1; peer = 2 };
-    Clear { round = 6; node = 1; peer = 2 };
-    Partition_window { links = [ (1, 4) ]; nodes = []; from_round = 2; heal_round = Some 6 };
-    Partition_window { links = []; nodes = [ 3; 5 ]; from_round = 0; heal_round = None };
-    Drop { send_round = 2; round = 3; src = 4; dst = 5; words = 2; reason = Severed };
-    Drop { send_round = 2; round = 3; src = 4; dst = 5; words = 2; reason = Garbled };
-    Drop { send_round = 2; round = 3; src = 4; dst = 5; words = 2; reason = Straggler };
-    Pulse { round = 3; node = 2; vt = 17 };
-    Safe { round = 3; node = 2; vt = 21 };
-    Straggle { round = 3; node = 7; factor = 6; vt = 17 };
-    Skew { node = 4; offset = 3 };
-    Straggler_cut { round = 9; node = 2; peer = 7; vt = 140 };
-    Straggle_window { node = 7; from_round = 2; until_round = Some 9; factor = 6 };
-    Straggle_window { node = 8; from_round = 4; until_round = None; factor = 0 };
-    Timing { link_latency = 2; skew = 3; seed = 42 };
+    ( Run_start { label = "bfs \"quoted\"\nline"; faulty = true },
+      {|{"e":"run_start","label":"bfs \"quoted\"\nline","faulty":1}|} );
+    ( Round_start { round = 0 }, {|{"e":"round_start","round":0}|} );
+    ( Round_end { round = 7 }, {|{"e":"round_end","round":7}|} );
+    ( Send { round = 1; src = 2; dst = 3; words = 4 },
+      {|{"e":"send","round":1,"src":2,"dst":3,"words":4}|} );
+    ( Deliver { send_round = 1; round = 2; src = 2; dst = 3; words = 4 },
+      {|{"e":"deliver","send_round":1,"round":2,"src":2,"dst":3,"words":4}|} );
+    ( Drop { send_round = 1; round = 1; src = 0; dst = 9; words = 1; reason = Link },
+      {|{"e":"drop","send_round":1,"round":1,"src":0,"dst":9,"words":1,"reason":"link"}|} );
+    ( Drop { send_round = 1; round = 3; src = 0; dst = 9; words = 1; reason = Receiver_down },
+      {|{"e":"drop","send_round":1,"round":3,"src":0,"dst":9,"words":1,"reason":"receiver"}|} );
+    ( Duplicate { round = 5; src = 1; dst = 2; copies = 2 },
+      {|{"e":"duplicate","round":5,"src":1,"dst":2,"copies":2}|} );
+    ( Delay { round = 5; src = 1; dst = 2; deliver_round = 8 },
+      {|{"e":"delay","round":5,"src":1,"dst":2,"deliver_round":8}|} );
+    ( Retransmit { round = 6; src = 4; dst = 5; seq = 11 },
+      {|{"e":"retransmit","round":6,"src":4,"dst":5,"seq":11}|} );
+    ( Ack { round = 7; src = 4; dst = 5; seq = 11 },
+      {|{"e":"ack","round":7,"src":4,"dst":5,"seq":11}|} );
+    ( Crash { round = 3; node = 6 }, {|{"e":"crash","round":3,"node":6}|} );
+    ( Restart { round = 9; node = 6 }, {|{"e":"restart","round":9,"node":6}|} );
+    ( Crash_window { node = 6; from_round = 3; until_round = Some 9; amnesia = true },
+      {|{"e":"crash_window","node":6,"from":3,"until":9,"amnesia":1}|} );
+    ( Crash_window { node = 7; from_round = 2; until_round = None; amnesia = false },
+      {|{"e":"crash_window","node":7,"from":2,"until":-1,"amnesia":0}|} );
+    ( Checkpoint { round = 4; node = 1; words = 17 },
+      {|{"e":"checkpoint","round":4,"node":1,"words":17}|} );
+    ( Recovery_resync { round = 10; node = 6 },
+      {|{"e":"recovery_resync","round":10,"node":6}|} );
+    ( Partition { round = 2; src = 1; dst = 4 },
+      {|{"e":"partition","round":2,"src":1,"dst":4}|} );
+    ( Heal { round = 6; src = 1; dst = 4 }, {|{"e":"heal","round":6,"src":1,"dst":4}|} );
+    ( Corrupt { send_round = 2; deliver_round = 3; src = 1; dst = 2 },
+      {|{"e":"corrupt","send_round":2,"deliver_round":3,"src":1,"dst":2}|} );
+    ( Nack { round = 3; src = 2; dst = 1; seq = 5 },
+      {|{"e":"nack","round":3,"src":2,"dst":1,"seq":5}|} );
+    ( Link_lost { round = 4; src = 2; dst = 1; seq = 5; retries = 3 },
+      {|{"e":"link_lost","round":4,"src":2,"dst":1,"seq":5,"retries":3}|} );
+    ( Suspect { round = 5; node = 1; peer = 2 },
+      {|{"e":"suspect","round":5,"node":1,"peer":2}|} );
+    ( Clear { round = 6; node = 1; peer = 2 },
+      {|{"e":"clear","round":6,"node":1,"peer":2}|} );
+    ( Partition_window { links = [ (1, 4) ]; nodes = []; from_round = 2; heal_round = Some 6 },
+      {|{"e":"partition_window","links":"1-4","nodes":"","from":2,"heal":6}|} );
+    ( Partition_window { links = []; nodes = [ 3; 5 ]; from_round = 0; heal_round = None },
+      {|{"e":"partition_window","links":"","nodes":"3,5","from":0,"heal":-1}|} );
+    ( Drop { send_round = 2; round = 3; src = 4; dst = 5; words = 2; reason = Severed },
+      {|{"e":"drop","send_round":2,"round":3,"src":4,"dst":5,"words":2,"reason":"severed"}|} );
+    ( Drop { send_round = 2; round = 3; src = 4; dst = 5; words = 2; reason = Garbled },
+      {|{"e":"drop","send_round":2,"round":3,"src":4,"dst":5,"words":2,"reason":"garbled"}|} );
+    ( Drop { send_round = 2; round = 3; src = 4; dst = 5; words = 2; reason = Straggler },
+      {|{"e":"drop","send_round":2,"round":3,"src":4,"dst":5,"words":2,"reason":"straggler"}|} );
+    ( Pulse { round = 3; node = 2; vt = 17 },
+      {|{"e":"pulse","round":3,"node":2,"vt":17}|} );
+    ( Safe { round = 3; node = 2; vt = 21 }, {|{"e":"safe","round":3,"node":2,"vt":21}|} );
+    ( Straggle { round = 3; node = 7; factor = 6; vt = 17 },
+      {|{"e":"straggle","round":3,"node":7,"factor":6,"vt":17}|} );
+    ( Skew { node = 4; offset = 3 }, {|{"e":"skew","node":4,"offset":3}|} );
+    ( Straggler_cut { round = 9; node = 2; peer = 7; vt = 140 },
+      {|{"e":"straggler_cut","round":9,"node":2,"peer":7,"vt":140}|} );
+    ( Straggle_window { node = 7; from_round = 2; until_round = Some 9; factor = 6 },
+      {|{"e":"straggle_window","node":7,"from":2,"until":9,"factor":6}|} );
+    ( Straggle_window { node = 8; from_round = 4; until_round = None; factor = 0 },
+      {|{"e":"straggle_window","node":8,"from":4,"until":-1,"factor":0}|} );
+    ( Timing { link_latency = 2; skew = 3; seed = 42 },
+      {|{"e":"timing","link_latency":2,"skew":3,"seed":42}|} );
   ]
+
+let sample_events = List.map fst sample_lines
 
 let test_event_json_roundtrip () =
   List.iter
-    (fun e ->
-      let line = Event.to_json e in
+    (fun (e, line) ->
+      check_string "to_json" line (Event.to_json e);
       check_bool (Printf.sprintf "roundtrip %s" line) true (Event.of_json line = e))
-    sample_events;
-  (match Event.of_json "{broken" with
-  | exception Event.Parse_error _ -> ()
-  | _ -> Alcotest.fail "malformed line should raise Parse_error");
-  (match Event.of_json {|{"e":"warp","round":1}|} with
-  | exception Event.Parse_error _ -> ()
-  | _ -> Alcotest.fail "unknown event kind should raise Parse_error");
+    sample_lines;
+  let fails_with line want =
+    match Event.of_json line with
+    | exception Event.Parse_error msg -> check_string (line ^ " error") want msg
+    | _ -> Alcotest.failf "%s should raise Parse_error" line
+  in
+  fails_with "{broken" {|expected '"' in "{broken"|};
+  fails_with {|{"e":"warp","round":1}|}
+    {|unknown event kind "warp" in "{\"e\":\"warp\",\"round\":1}"|};
+  fails_with {|{"e":"crash","round":3}|}
+    {|missing int field "node" in "{\"e\":\"crash\",\"round\":3}"|};
+  fails_with {|{"e":"drop","send_round":1,"round":2,"src":0,"dst":1,"words":1,"reason":"lost"}|}
+    ({|unknown drop reason "lost" in "{\"e\":\"drop\",\"send_round\":1,\"round\":2,|}
+   ^ {|\"src\":0,\"dst\":1,\"words\":1,\"reason\":\"lost\"}"|});
+  fails_with {|{"e":"partition_window","links":"1-x","nodes":"","from":0,"heal":-1}|}
+    ({|bad link "1-x" in "{\"e\":\"partition_window\",\"links\":\"1-x\",|}
+   ^ {|\"nodes\":\"\",\"from\":0,\"heal\":-1}"|});
+  fails_with {|{"e":"partition_window","links":"","nodes":"3,y","from":0,"heal":-1}|}
+    ({|bad member "y" in "{\"e\":\"partition_window\",\"links\":\"\",|}
+   ^ {|\"nodes\":\"3,y\",\"from\":0,\"heal\":-1}"|});
   (* the writer escapes only ASCII control bytes: any other \u escape
      is malformed *)
   List.iter
@@ -431,6 +477,47 @@ let test_replay_divergence_raises () =
   with
   | exception Replay.Divergence _ -> ()
   | _ -> Alcotest.fail "expected Replay.Divergence on a mismatched execution"
+
+(* the profile's static part travels in the trace's window events:
+   every window kind, the link latency and the skew must come back
+   field for field, and the timing seed with them. The windows open
+   after the run ends, so only the statics decide the outcome. *)
+let test_replay_rebuilds_profile () =
+  let profile =
+    Fault.profile
+      ~crashes:
+        [
+          Fault.crash 0 ~from:100 ~until:110;
+          Fault.crash 1 ~from:101 ~until:111 ~mode:Fault.Amnesia;
+          Fault.crash 2 ~from:102;
+        ]
+      ~partitions:
+        [
+          Fault.partition ~from:100 ~heal:104 (Fault.Links [ (0, 1); (2, 3) ]);
+          Fault.partition ~from:103 (Fault.Around [ 3; 1 ]);
+        ]
+      ~stragglers:
+        [
+          Fault.straggle 0 ~from:100 ~until:109 ~factor:4;
+          Fault.straggle 1 ~from:101 ~until:105;
+          Fault.straggle 2 ~from:102 ~factor:3;
+          Fault.straggle 3 ~from:103;
+        ]
+      ~link_latency:2 ~skew:3 ()
+  in
+  let _, events =
+    with_recorder (fun () ->
+        Bfs_tree.build ~faults:(Fault.create ~seed:9 profile) (Generators.path 4) ~root:0
+          ~metrics:(Metrics.create ()))
+  in
+  let replayed = scripted_of_trace events in
+  let p = Fault.profile_of replayed in
+  check_bool "crash windows" true (p.crashes = profile.crashes);
+  check_bool "partition windows" true (p.partitions = profile.partitions);
+  check_bool "straggler windows" true (p.stragglers = profile.stragglers);
+  check_int "link latency" 2 p.link_latency;
+  check_int "skew" 3 p.skew;
+  check_int "timing seed" 9 (Fault.seed_of replayed)
 
 (* ------------------------------------------------------------------ *)
 (* Golden traces: the digests of the recorded JSONL trace and of
@@ -896,6 +983,8 @@ let () =
         [
           q prop_replay_determinism;
           Alcotest.test_case "divergence raises" `Quick test_replay_divergence_raises;
+          Alcotest.test_case "replay rebuilds the recorded profile" `Quick
+            test_replay_rebuilds_profile;
         ] );
       ( "async",
         [
